@@ -12,7 +12,8 @@ Run:  python scripts/calibrate.py [benchmarks...] [--scale S] [--workers N]
 import argparse
 import sys
 
-from repro.harness.parallel import SweepJob, run_jobs
+from repro.api import SimulationRequest
+from repro.harness.parallel import run_jobs
 from repro.harness.reporting import format_sweep_stats, format_table, geometric_mean
 from repro.harness.runner import RunConfig
 
@@ -30,7 +31,7 @@ def main() -> int:
 
     config = RunConfig(scale=args.scale, seed=args.seed)
     jobs = [
-        SweepJob(bench, sched, config)
+        SimulationRequest(bench, sched, config)
         for bench in args.benchmarks
         for sched in SCHEDULERS
     ]

@@ -204,9 +204,7 @@ class SimulationRequest:
     """One fully-specified simulation: benchmark x scheduler x config.
 
     This is the single job descriptor shared by :func:`run_benchmark`, the
-    parallel sweep engine (where it was historically called ``SweepJob`` —
-    that name remains as an alias), the result cache's key derivation and
-    the CLI.
+    parallel sweep engine, the result cache's key derivation and the CLI.
     """
 
     benchmark: Union[str, BenchmarkSpec]
@@ -799,41 +797,25 @@ class BatchExecutionError(RuntimeError):
         self.request = request
 
 
-def run_batch(requests, *, backend: Optional[str] = None, cache=None,
-              on_result=None):
+def run_batch(requests, *, backend: Optional[str] = None, cache=None):
     """Execute ``requests`` and return their results in submission order.
 
-    The batch counterpart of :func:`execute`: requests are grouped by
-    resolved engine and each group is handed to the backend in **one call**
-    (``Backend.execute_batch`` when the engine implements it, a plain
-    per-request loop otherwise), so engines that intern per-kernel state —
-    the ``vector`` backend's extracted traces — pay setup once per kernel
-    instead of once per request.  Results are equal to
-    ``[execute(r) for r in requests]`` request for request, whatever the
-    grouping; :mod:`repro.harness.parallel` routes its in-process path here.
+    A plain per-request loop over :func:`execute` — the serving layer's
+    batch unit (:class:`repro.serve.queue.BatchQueue`).  Engines that intern
+    per-kernel state (the ``vector`` backend's extracted traces) keep it
+    process-wide, so a batch over one kernel still pays setup once.
 
     ``backend`` fills in the engine for requests that left theirs ``None``
     (multi-tenant requests keep their ``lockstep`` default).  ``cache`` is
     an optional :class:`repro.harness.cache.ResultCache`: each request keeps
-    its own content-addressed key — hits are returned without simulating and
-    interleave freely with executed requests, misses are written back *as
-    each result completes*, so a failure later in the batch never discards
-    already-simulated work.  (With a cache attached, requests therefore run
-    through the shared engine instance one at a time — per-kernel interning
-    still amortises — and ``execute_batch`` is used on the cache-less path.)
-
-    ``on_result`` is an optional ``(index, request, result)`` callback
-    invoked as each result lands (cache hits included) — the hook sweep
-    checkpointing (:mod:`repro.harness.manifest`) uses to record progress
-    incrementally, so a failure mid-batch leaves a manifest that reflects
-    exactly what completed.
+    its own content-addressed key — hits are returned without simulating,
+    misses are written back *as each result completes*, so a failure later
+    in the batch never discards already-simulated work.
 
     Failures raise :class:`BatchExecutionError` naming the offending
     request.
     """
-    from repro.backends import get_backend
-
-    filled: list[AnyRequest] = []
+    results = []
     for request in requests:
         if (
             backend is not None
@@ -841,78 +823,16 @@ def run_batch(requests, *, backend: Optional[str] = None, cache=None,
             and not isinstance(request, MultiTenantRequest)
         ):
             request = replace(request, backend=backend)
-        filled.append(request)
-    results: list[Any] = [None] * len(filled)
-    pending_by_engine: dict[str, list[tuple[int, AnyRequest, Optional[str]]]] = {}
-    for index, request in enumerate(filled):
-        key: Optional[str] = None
-        if cache is not None:
-            try:
-                key = request.cache_key()
-            except Exception as exc:
-                raise BatchExecutionError(request, exc) from exc
-            hit = _decode_cached_result(cache.get(key))
-            if hit is not None:
-                results[index] = hit
-                if on_result is not None:
-                    on_result(index, request, hit)
-                continue
         try:
-            engine_name = request.resolved_backend()
-        except KeyError as exc:
-            raise BatchExecutionError(request, exc) from exc
-        pending_by_engine.setdefault(engine_name, []).append(
-            (index, request, key)
-        )
-    for engine_name, group in pending_by_engine.items():
-        engine = get_backend(engine_name)
-        group_requests = [request for _, request, _ in group]
-        execute_batch = getattr(engine, "execute_batch", None)
-        if execute_batch is not None and cache is None:
-            try:
-                outcomes = list(execute_batch(group_requests))
-            except BatchExecutionError:
-                raise
-            except Exception as exc:
-                # The engine gave no index for the failure.  Engines are
-                # deterministic, so replay per request to name the actual
-                # offender before giving up on attribution.
-                for request in group_requests:
-                    try:
-                        engine.execute(request)
-                    except Exception as inner:
-                        raise BatchExecutionError(request, inner) from inner
-                # Every request succeeds individually: the failure was
-                # batch-level (backend batching bug, resource exhaustion) —
-                # do not pin it on an innocent request.
-                raise RuntimeError(
-                    f"backend {engine_name!r} failed executing a batch of "
-                    f"{len(group_requests)} requests although each succeeds "
-                    f"individually ({type(exc).__name__}: {exc})"
-                ) from exc
-            if len(outcomes) != len(group_requests):
-                raise RuntimeError(
-                    f"backend {engine_name!r} returned {len(outcomes)} results "
-                    f"for {len(group_requests)} requests"
-                )
-            for (index, request, key), outcome in zip(group, outcomes):
-                results[index] = outcome
-                if on_result is not None:
-                    on_result(index, request, outcome)
-        else:
-            # One shared engine instance per group (per-kernel setup still
-            # amortises); results — and cache entries — land one by one, so
-            # a failure mid-batch keeps everything completed so far.
-            for index, request, key in group:
-                try:
-                    outcome = engine.execute(request)
-                except Exception as exc:
-                    raise BatchExecutionError(request, exc) from exc
-                results[index] = outcome
+            key = request.cache_key() if cache is not None else None
+            result = _decode_cached_result(cache.get(key)) if key else None
+            if result is None:
+                result = execute(request)
                 if key is not None:
-                    cache.put(key, outcome.to_dict())
-                if on_result is not None:
-                    on_result(index, request, outcome)
+                    cache.put(key, result.to_dict())
+        except Exception as exc:
+            raise BatchExecutionError(request, exc) from exc
+        results.append(result)
     return results
 
 

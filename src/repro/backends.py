@@ -81,15 +81,7 @@ class BackendUnavailableError(RuntimeError):
 
 @runtime_checkable
 class Backend(Protocol):
-    """The execution-engine seam: one method, one canonical job descriptor.
-
-    Engines may additionally implement ``execute_batch(requests) ->
-    list[SimulationResult]`` to receive a whole batch in one call —
-    :func:`repro.api.run_batch` uses it when present so per-kernel setup
-    (the ``vector`` engine's trace interning) is amortised across the batch.
-    Results must equal ``[execute(r) for r in requests]`` request for
-    request; failures should raise :class:`repro.api.BatchExecutionError`.
-    """
+    """The execution-engine seam: one method, one canonical job descriptor."""
 
     #: Canonical registry name, recorded on every result this engine produces.
     name: str

@@ -234,7 +234,7 @@ def parse_tenant_specs(text: str, *, default_scheduler: str = "gto") -> tuple[Te
 
 def _cmd_run_tenants(args) -> int:
     """The multi-tenant arm of ``repro run`` (--tenants / --scenario)."""
-    from repro.harness import experiments
+    from repro.scenarios.library import colocation_scenario
 
     if args.benchmark or args.schedulers:
         print("error: --tenants/--scenario replaces the positional "
@@ -242,7 +242,7 @@ def _cmd_run_tenants(args) -> int:
         return 2
     try:
         if args.scenario:
-            request = experiments.colocation_scenario(
+            request = colocation_scenario(
                 args.scenario, scale=args.scale, seed=args.seed, backend=args.backend
             )
             with_isolated = True  # scenarios always report slowdown vs isolated
@@ -803,7 +803,7 @@ def _cmd_cache_fsck(args, cache: ResultCache) -> int:
 
 
 def cmd_cache(args) -> int:
-    action = "clear" if getattr(args, "clear", False) else args.action
+    action = args.action
     cache = ResultCache()
     if action == "clear":
         removed = cache.clear()
@@ -901,7 +901,7 @@ def cmd_list(args) -> int:
             print(name if reason is None else f"{name} (unavailable: {reason})")
         return 0
     if args.scenarios:
-        from repro.harness.experiments import COLOCATION_SCENARIOS
+        from repro.scenarios.library import COLOCATION_SCENARIOS
 
         for scenario in COLOCATION_SCENARIOS.values():
             tenants = ", ".join(
@@ -926,7 +926,7 @@ def cmd_list(args) -> int:
         for spec in all_benchmarks()
     ]
     print(format_table(rows))
-    from repro.harness.experiments import colocation_scenario_names
+    from repro.scenarios.library import colocation_scenario_names
 
     from repro.backends import backend_availability
 
@@ -1614,8 +1614,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="show the cache, print bench-ledger statistics, "
                               "clear the cache, or verify artifact integrity "
                               "(fsck; default: show)")
-    p_cache.add_argument("--clear", action="store_true",
-                         help="deprecated alias of the 'clear' action")
     p_cache.add_argument("--repair", action="store_true",
                          help="fsck: rewrite repairable legacy envelopes and "
                               "strip damaged manifest/ledger lines (original "

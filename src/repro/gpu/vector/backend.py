@@ -7,10 +7,9 @@ instruction streams are extracted once into numpy-backed traces
 (:func:`~repro.gpu.vector.trace.kernel_trace_for_model`) and replayed by
 :class:`~repro.gpu.vector.engine.VectorSM`.
 
-The trace intern cache is process-wide, so a batch of requests over the
-same kernel — a ``run_batch`` call, a sweep's scheduler column, repeated
-bench runs — pays extraction once; this is the setup amortisation the
-``run_batch`` API exposes.
+The trace intern cache is process-wide, so requests over the same kernel —
+a sweep's scheduler column, a served batch, repeated bench runs — pay
+extraction once.
 """
 
 from __future__ import annotations
@@ -51,19 +50,3 @@ class VectorBackend:
             kernel_trace=trace,
         )
         return gpu.run(kernel, max_cycles=config.max_cycles, scheduler_name=scheduler)
-
-    def execute_batch(self, requests) -> list[SimulationResult]:
-        """Execute ``requests`` in order; traces are shared via the intern cache.
-
-        Failures raise :class:`repro.api.BatchExecutionError` so the caller
-        can attribute the error to the exact request.
-        """
-        from repro.api import BatchExecutionError
-
-        results = []
-        for request in requests:
-            try:
-                results.append(self.execute(request))
-            except Exception as exc:
-                raise BatchExecutionError(request, exc) from exc
-        return results

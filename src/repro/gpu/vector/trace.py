@@ -20,7 +20,7 @@ construction interleaved with simulation).  The vector engine instead
 Extraction replays the *same* generator the reference engine would consume,
 so the arrays are bit-faithful by construction; the cost is paid once per
 kernel identity and interned in a small LRU (:func:`kernel_trace_for_model`),
-which is what ``run_batch`` amortises across a batch of requests.
+so every request over that kernel in the process shares it.
 
 Traces are keyed by everything the stream depends on — benchmark spec,
 scale, seed and launch geometry — and deliberately *not* by the machine

@@ -27,7 +27,6 @@ from repro.api import SimulationRequest, execute
 from repro.harness.cache import ResultCache, job_key
 from repro.harness.ledger import read_ledger, record_sweep, summarize_ledger
 from repro.harness.parallel import (
-    SweepJob,
     SweepOutcome,
     SweepStats,
     derive_seed,
@@ -58,7 +57,6 @@ __all__ = [
     "execute",
     "run_benchmark",
     "run_many",
-    "SweepJob",
     "read_ledger",
     "record_sweep",
     "summarize_ledger",

@@ -61,7 +61,7 @@ class BenchCase:
     """One pinned measurement: benchmark x scheduler x backend x sizing.
 
     When ``scenario`` is set the case measures a co-location scenario from
-    :data:`repro.harness.experiments.COLOCATION_SCENARIOS` instead (always
+    :data:`repro.scenarios.library.COLOCATION_SCENARIOS` instead (always
     on the lock-step engine); ``benchmark`` / ``scheduler`` then only label
     the report row.
     """
@@ -76,7 +76,7 @@ class BenchCase:
     def request(self):
         """The simulation request this case measures."""
         if self.scenario is not None:
-            from repro.harness.experiments import colocation_scenario
+            from repro.scenarios.library import colocation_scenario
 
             return colocation_scenario(
                 self.scenario, scale=self.scale, seed=self.seed

@@ -1,8 +1,10 @@
 """Cross-machine sharded sweeps: ``repro worker`` + the sweep coordinator.
 
-This is the remote runner beside :class:`repro.harness.parallel._PoolRunner`
-— the ROADMAP's "refactor that unlocks millions-of-users sweep volume".
-Every ingredient already existed; this module only wires them together:
+This is the third sweep executor, beside the in-process loop and the
+process pool of :mod:`repro.harness.parallel`: planning (cache hits, keys)
+and settling (result slots, cache writes, manifest rows, raise-or-skip) go
+through the same sweep books, so a remote sweep fails and checkpoints
+exactly like a local one.  The module wires two pieces together:
 
 * **Workers** (:class:`WorkerServer`, the ``repro worker`` entry point) are
   long-lived processes reusing the serve layer's HTTP plumbing
@@ -15,12 +17,11 @@ Every ingredient already existed; this module only wires them together:
 * **The coordinator** (:func:`run_distributed`, behind ``repro sweep
   --workers-at``) partitions the job list by content-addressed cache key
   (:class:`repro.harness.parallel.ShardPlan`), dispatches shard chunks to
-  the workers, streams per-job outcomes into the *existing* append-only
-  manifest as they arrive (so ``repro sweep --resume`` works across
-  machines unchanged), merges results and ledger rows with dedup by cache
-  key, and re-dispatches chunks lost to dead or unreachable workers onto
-  healthy ones under the existing :class:`~repro.harness.parallel
-  .RetryPolicy`.
+  the workers, settles per-job outcomes into the append-only manifest as
+  they arrive (so ``repro sweep --resume`` works across machines
+  unchanged), merges results and ledger rows with dedup by cache key, and
+  re-dispatches chunks lost to dead or unreachable workers onto healthy
+  ones under the :class:`~repro.harness.parallel.RetryPolicy`.
 
 Exactness: a job's seed lives in its ``RunConfig`` and results are
 bit-identical wherever they execute, so a sharded sweep returns — by
@@ -40,12 +41,11 @@ import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.api import (
     BATCH_SCHEMA,
     AnyRequest,
-    MultiTenantRequest,
     decode_request_batch,
     encode_request_batch,
     result_digest,
@@ -54,20 +54,16 @@ from repro.gpu.gpu import SimulationResult
 from repro.harness.breaker import CircuitBreaker
 from repro.harness.cache import ResultCache
 from repro.harness.integrity import audit_selected
-from repro.harness.ledger import append_entry, merge_ledger_entries, record_sweep, sweep_entry
-from repro.harness.manifest import ManifestEntry, append_outcome, scan_manifest
+from repro.harness.ledger import sweep_entry
 from repro.harness.parallel import (
     AUTO_CACHE,
-    ON_ERROR_MODES,
     JobFailure,
     RetryPolicy,
     ShardPlan,
     SweepError,
     SweepOutcome,
-    SweepStats,
-    _decode_cached,
     _execute,
-    _resolved_backends,
+    _Sweep,
     parse_positive_int,
     run_jobs,
 )
@@ -502,6 +498,18 @@ def _worker_schema_drift(health: dict) -> Optional[str]:
     return None
 
 
+class _ReportedFailure(RuntimeError):
+    """A job failure as a worker reported it: message plus remote type name.
+
+    Settling it through the sweep books yields the same ``JobFailure`` and
+    manifest row an in-process failure of the same job would.
+    """
+
+    def __init__(self, message: str, error_type: str) -> None:
+        super().__init__(message)
+        self.error_type = error_type
+
+
 @dataclass
 class _Chunk:
     """One dispatch unit: a few (index, job, key) items of one shard."""
@@ -589,10 +597,6 @@ def run_distributed(
     re-dispatches it elsewhere, marks the worker distrusted (100% audits
     from then on), and records an audit row in the manifest and ledger.
     """
-    if on_error not in ON_ERROR_MODES:
-        raise ValueError(
-            f"unknown on_error mode {on_error!r} (choose from {ON_ERROR_MODES})"
-        )
     audit_rate = float(audit_rate)
     if not 0.0 <= audit_rate <= 1.0:
         raise ValueError(f"audit_rate must be in [0, 1], got {audit_rate!r}")
@@ -605,55 +609,15 @@ def run_distributed(
     if timeout is None:
         timeout = policy.straggler_seconds or DEFAULT_REQUEST_TIMEOUT
 
-    jobs = list(jobs)
-    if backend is not None:
-        jobs = [
-            job
-            if job.backend is not None or isinstance(job, MultiTenantRequest)
-            else replace(job, backend=backend)
-            for job in jobs
-        ]
-    if isinstance(cache, str):
-        if cache != AUTO_CACHE:
-            raise ValueError(f"unknown cache mode {cache!r}")
-        cache = ResultCache.from_env()
-    manifest_path = Path(manifest) if manifest is not None else None
-    manifest_skipped = 0
-    if manifest_path is not None:
-        # Touch-load: malformed files surface here; damaged lines are
-        # counted onto the outcome so sweep summaries can warn about them.
-        manifest_skipped = scan_manifest(manifest_path)[1]
-
-    start = time.perf_counter()
-    results: list[Any] = [None] * len(jobs)
-    stats = SweepStats(
-        jobs=len(jobs), workers=len(workers), backend=_resolved_backends(jobs)
+    # Keys are mandatory here: they define the shard plan and the result
+    # merge, so a job that cannot produce one fails at planning time.
+    books = _Sweep(
+        jobs, cache=cache, backend=backend, on_error=on_error,
+        manifest=manifest, keyed=True,
     )
-    pending: list[tuple[int, AnyRequest, str]] = []
-    sweep_keys: list[str] = []
-    for index, job in enumerate(jobs):
-        # Keys are mandatory here (they define the shard plan and the
-        # result merge); a job that cannot produce one fails the same way
-        # an unknown benchmark fails in run_jobs.
-        try:
-            key = job.cache_key()
-        except Exception as exc:
-            if on_error == "raise":
-                raise SweepError(job, exc) from exc
-            stats.failed += 1
-            results[index] = JobFailure(
-                job=job, error=str(exc), error_type=type(exc).__name__,
-            )
-            continue
-        sweep_keys.append(key)
-        if cache is not None:
-            hit = _decode_cached(cache.get(key))
-            if hit is not None:
-                results[index] = hit
-                stats.cache_hits += 1
-                continue
-        pending.append((index, job, key))
-    stats.executed = len(pending)
+    stats, results, cache = books.stats, books.results, books.cache
+    stats.workers = len(workers)
+    pending = books.pending
 
     ledger_rows: list[dict] = []
     if pending:
@@ -680,8 +644,17 @@ def run_distributed(
             fleet.queues.setdefault(shard_index, deque()).append(chunk)
         fleet.unsettled = len(chunks)
 
+        def settle_failed(index, job, key, cause, **details) -> None:
+            """Settle one failed job through the books (under the lock); in
+            raise mode the first failure stops the fleet."""
+            try:
+                books.fail(index, job, key, cause, **details)
+            except SweepError as exc:
+                if fleet.error is None:
+                    fleet.error = exc
+
         def record_outcome(chunk: _Chunk, answer: dict) -> None:
-            """Merge one chunk's outcome rows (called under the lock)."""
+            """Settle one chunk's outcome rows (called under the lock)."""
             worker_stats = answer.get("stats") or {}
             stats.retried += int(worker_stats.get("retried", 0) or 0)
             stats.timed_out += int(worker_stats.get("timed_out", 0) or 0)
@@ -712,60 +685,25 @@ def run_distributed(
                         except Exception:
                             result = None  # wire drift: count the job as failed
                 if result is not None:
-                    results[index] = result
-                    if cache is not None:
-                        cache.put(key, result.to_dict())
-                    if manifest_path is not None:
-                        append_outcome(manifest_path, ManifestEntry(
-                            key=key, status="done", attempts=attempts,
-                            benchmark=job.benchmark_name,
-                            scheduler=job.scheduler,
-                            backend=str(worker_stats.get("backend", "")),
-                        ))
+                    books.succeed(index, job, key, result, attempts)
                     continue
-                stats.failed += 1
-                error = str(outcome.get("error") or "worker reported no result")
-                error_type = str(outcome.get("error_type") or "RuntimeError")
-                timed_out = bool(outcome.get("timed_out"))
-                if manifest_path is not None:
-                    append_outcome(manifest_path, ManifestEntry(
-                        key=key,
-                        status="timeout" if timed_out else "failed",
-                        attempts=attempts,
-                        benchmark=job.benchmark_name,
-                        scheduler=job.scheduler,
-                        error=f"{error_type}: {error}",
-                    ))
-                if on_error == "raise" and fleet.error is None:
-                    fleet.error = SweepError(
-                        job, RuntimeError(f"{error_type}: {error}")
-                    )
-                    continue
-                results[index] = JobFailure(
-                    job=job, error=error, error_type=error_type,
-                    attempts=attempts, timed_out=timed_out,
+                settle_failed(
+                    index, job, key,
+                    _ReportedFailure(
+                        str(outcome.get("error") or "worker reported no result"),
+                        str(outcome.get("error_type") or "RuntimeError"),
+                    ),
+                    attempts=attempts,
+                    timed_out=bool(outcome.get("timed_out")),
                 )
 
         def settle_lost_chunk(chunk: _Chunk) -> None:
             """Give up on a chunk no worker could run (under the lock)."""
             cause = chunk.last_error or RuntimeError("no healthy workers")
             for index, job, key in chunk.items:
-                stats.failed += 1
-                if manifest_path is not None:
-                    append_outcome(manifest_path, ManifestEntry(
-                        key=key, status="failed", attempts=chunk.dispatches,
-                        benchmark=job.benchmark_name, scheduler=job.scheduler,
-                        error=f"{type(cause).__name__}: {cause}",
-                    ))
-                if on_error == "raise":
-                    if fleet.error is None:
-                        fleet.error = SweepError(job, cause)
-                else:
-                    results[index] = JobFailure(
-                        job=job, error=str(cause),
-                        error_type=type(cause).__name__,
-                        attempts=max(1, chunk.dispatches),
-                    )
+                settle_failed(
+                    index, job, key, cause, attempts=max(1, chunk.dispatches)
+                )
 
         def settle_chunk_or_orphan(chunk: _Chunk) -> None:
             """Re-queue a failed chunk, or settle it if out of attempts
@@ -851,12 +789,7 @@ def run_distributed(
                 f"audit mismatch: worker {workers[position].address} returned "
                 f"a result diverging from local re-execution ({detail})"
             )
-            if manifest_path is not None:
-                append_outcome(manifest_path, ManifestEntry(
-                    key=key, status="failed", attempts=chunk.dispatches,
-                    benchmark=job.benchmark_name, scheduler=job.scheduler,
-                    error=error,
-                ))
+            books.record(job, key, "failed", chunk.dispatches, error=error)
             ledger_rows.append({
                 "kind": "audit",
                 "ts": round(time.time(), 3),
@@ -1041,16 +974,4 @@ def run_distributed(
         if fleet.error is not None:
             raise fleet.error
 
-    stats.wall_seconds = time.perf_counter() - start
-    try:
-        record_sweep(stats, keys=sweep_keys or None)
-        for row in merge_ledger_entries([ledger_rows]):
-            append_entry(row)
-    except Exception:
-        pass  # the ledger is best-effort; never fail a sweep over it
-    return SweepOutcome(
-        jobs=jobs,
-        results=results,
-        stats=stats,
-        manifest_skipped=manifest_skipped,
-    )
+    return books.finish(ledger_rows)

@@ -466,19 +466,8 @@ def fig12_dram_bandwidth(
 
 
 # ---------------------------------------------------------------------------
-# Co-location scenario library (multi-tenant lock-step)
+# Co-location interference (multi-tenant lock-step)
 # ---------------------------------------------------------------------------
-# The scenario types moved to repro.scenarios.library (the seeded generation
-# / search subsystem builds on them); re-exported here — same objects, so
-# experiment code and tests that patch COLOCATION_SCENARIOS keep working.
-from repro.scenarios.library import (  # noqa: E402  (re-export)
-    COLOCATION_SCENARIOS,
-    ColocationScenario,
-    colocation_scenario,
-    colocation_scenario_names,
-)
-
-
 def colocation_interference(
     *,
     scenario: str = "thrash-vs-compute",
@@ -494,7 +483,10 @@ def colocation_interference(
     tenant (same machine, other SMs idle) through the sweep engine, then
     derives per-tenant slowdown, IPC and the inter-SM DRAM conflict
     attribution (:func:`repro.analysis.metrics.tenant_slowdowns`).
+    Scenarios come from :mod:`repro.scenarios.library`.
     """
+    from repro.scenarios.library import COLOCATION_SCENARIOS, colocation_scenario
+
     request = colocation_scenario(scenario, scale=scale, seed=seed, backend=backend)
     jobs = [request] + [request.isolated_request(t.name) for t in request.tenants]
     outcome = _sweep(jobs, workers, cache)

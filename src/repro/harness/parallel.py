@@ -3,18 +3,21 @@
 This module is the single execution substrate behind :func:`run_many`, every
 ``figN_*`` / ``tableN_*`` experiment and the ``repro`` CLI.  A sweep is a
 list of :class:`repro.api.SimulationRequest` values — the canonical job
-descriptor shared with ``run_benchmark``, the result cache and the CLI
-(:data:`SweepJob` remains as a compatibility alias) — and :func:`run_jobs`
-executes them:
+descriptor shared with ``run_benchmark``, the result cache and the CLI — and
+:func:`run_jobs` executes them:
 
-1. every job's cache key is computed up front (see
+1. *plan*: every job's cache key is computed up front (see
    :mod:`repro.harness.cache`) and hits are served without simulating;
-2. the remaining jobs run on a ``ProcessPoolExecutor`` when ``workers > 1``,
-   or in-process (no pool, no pickling) when ``workers == 1``;
-3. fresh results are written back to the cache (in the versioned
-   ``SimulationResult.to_dict`` schema) and the outcome is returned in
-   submission order together with :class:`SweepStats`, which is also
-   appended to the bench ledger (:mod:`repro.harness.ledger`).
+2. *execute*: the remaining jobs run in-process (no pool, no pickling) when
+   ``workers == 1``, or on a ``ProcessPoolExecutor`` when ``workers > 1``
+   (:func:`repro.harness.distributed.run_distributed` is the third,
+   remote executor);
+3. *settle*: each outcome fills its result slot, fresh results are written
+   back to the cache (in the versioned ``SimulationResult.to_dict`` schema)
+   with one manifest row per job, and the outcome is returned in submission
+   order together with :class:`SweepStats`, which is also appended to the
+   bench ledger (:mod:`repro.harness.ledger`).  Planning and settling live
+   in one place, the ``_Sweep`` books, for all three executors.
 
 Determinism: a job's seed is part of its ``RunConfig`` and is fixed at
 submission time, never derived from worker identity or execution order, so a
@@ -52,20 +55,21 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
-from repro.api import AnyRequest, MultiTenantRequest, SimulationRequest
+from repro.api import (
+    AnyRequest,
+    MultiTenantRequest,
+    SimulationRequest,
+    _decode_cached_result,
+)
 from repro.gpu.gpu import SimulationResult
 from repro.harness.cache import ResultCache
 from repro.harness.faults import _unit_draw, set_current_attempt
-from repro.harness.ledger import record_sweep
+from repro.harness.ledger import append_entry, merge_ledger_entries, record_sweep
 from repro.harness.manifest import ManifestEntry, append_outcome, scan_manifest
-from repro.harness.runner import run_benchmark
-
-#: Compatibility alias: the engine's job type *is* the canonical request.
-SweepJob = SimulationRequest
 
 #: ``cache`` argument sentinel: use the environment-default cache.
 AUTO_CACHE = "auto"
@@ -82,8 +86,9 @@ class SweepError(RuntimeError):
 
     On the pool path the error also carries how much of the sweep survived:
     ``completed`` results already landed (and were written to the cache)
-    before the failure, and ``outstanding`` futures were cancelled or
-    abandoned so the pool shuts down without orphaned workers.
+    before the failure, and ``outstanding`` jobs were left unsettled, their
+    dispatches cancelled or abandoned so the pool shuts down without
+    orphaned workers.
     """
 
     def __init__(
@@ -96,13 +101,12 @@ class SweepError(RuntimeError):
     ) -> None:
         message = (
             f"sweep job failed: benchmark={job.benchmark_name!r} "
-            f"scheduler={job.scheduler!r} ({type(cause).__name__}: {cause})"
+            f"scheduler={job.scheduler!r} ({_error_type(cause)}: {cause})"
         )
         if completed is not None:
             message += (
                 f"; {completed} job(s) had already completed (results "
-                f"cached), {outstanding or 0} outstanding dispatch(es) "
-                "cancelled"
+                f"cached), {outstanding or 0} outstanding job(s) cancelled"
             )
         super().__init__(message)
         self.job = job
@@ -410,24 +414,19 @@ def _execute(job: AnyRequest, attempt: int = 1) -> SimulationResult:
     fault-injection layer (:mod:`repro.harness.faults`) so a seeded chaos
     schedule advances with retries instead of replaying the same fault.
     """
+    from repro.api import execute
+
     set_current_attempt(attempt)
-    if isinstance(job, MultiTenantRequest):
-        from repro.api import execute
-
-        return execute(job)
-    return run_benchmark(job.benchmark, job.scheduler, job.run_config,
-                         backend=job.backend)
+    return execute(job)
 
 
-def _decode_cached(payload: Any) -> Optional[SimulationResult]:
-    """Reconstruct a cached result; ``None`` (treated as a miss) on drift.
+def _error_type(exc: BaseException) -> str:
+    """Type name a failure is reported under.
 
-    Delegates to the one shared decoder so ``run_jobs`` and ``run_batch``
-    can never disagree on what counts as a cache hit.
+    A failure relayed from a remote worker carries the worker-side type
+    name as ``error_type``; everything else reports its own class name.
     """
-    from repro.api import _decode_cached_result
-
-    return _decode_cached_result(payload)
+    return getattr(exc, "error_type", None) or type(exc).__name__
 
 
 def _resolved_backends(jobs: Sequence[AnyRequest]) -> str:
@@ -436,6 +435,178 @@ def _resolved_backends(jobs: Sequence[AnyRequest]) -> str:
         return ",".join(sorted({job.resolved_backend() for job in jobs}))
     except KeyError:
         return ""
+
+
+class _Sweep:
+    """The books of one sweep, shared by every executor.
+
+    Construction plans the sweep (backend fill, cache and manifest loading,
+    keys, cache hits) and leaves :attr:`pending` to run.  Executors hand
+    each outcome to :meth:`succeed` or :meth:`fail`, which settle it: result
+    slot, cache write, one manifest row with the real attempt count and
+    resolved backend, and for a failure :class:`SweepError` ("raise") or a
+    :class:`JobFailure` slot.  :meth:`finish` writes stats and the ledger.
+    """
+
+    def __init__(
+        self, jobs: Sequence[AnyRequest], *, cache, backend: Optional[str],
+        on_error: str, manifest: Union[str, Path, None], keyed: bool = False,
+    ) -> None:
+        if on_error not in ON_ERROR_MODES:
+            raise ValueError(
+                f"unknown on_error mode {on_error!r} (choose from {ON_ERROR_MODES})"
+            )
+        self.on_error = on_error
+        jobs = list(jobs)
+        if backend is not None:
+            jobs = [
+                job
+                if job.backend is not None or isinstance(job, MultiTenantRequest)
+                else replace(job, backend=backend)
+                for job in jobs
+            ]
+        self.jobs = jobs
+        if isinstance(cache, str):
+            if cache != AUTO_CACHE:
+                raise ValueError(f"unknown cache mode {cache!r}")
+            cache = ResultCache.from_env()
+        self.cache: Optional[ResultCache] = cache
+        self.manifest_path = Path(manifest) if manifest is not None else None
+        self.manifest_skipped = 0
+        if self.manifest_path is not None:
+            # Touch-load for the resume contract: malformed files surface
+            # here, and "done" keys whose results the cache still holds are
+            # served as plain cache hits below (the manifest stores
+            # statuses, the cache stores results — see
+            # repro.harness.manifest).  Damaged lines are counted onto the
+            # outcome so sweep summaries can warn about them.
+            self.manifest_skipped = scan_manifest(self.manifest_path)[1]
+
+        self.start = time.perf_counter()
+        self.results: list = [None] * len(jobs)
+        self.stats = SweepStats(jobs=len(jobs), backend=_resolved_backends(jobs))
+        #: Cache keys of every keyed job (the ledger row's identity).
+        self.keys: list[str] = []
+        #: ``(index, job, key)`` of every job left to execute, in order.
+        self.pending: list[tuple[int, AnyRequest, Optional[str]]] = []
+        keyed = keyed or cache is not None or self.manifest_path is not None
+        for index, job in enumerate(jobs):
+            key = None
+            if keyed:
+                try:
+                    key = job.cache_key()
+                except Exception as exc:
+                    # Same contract as execution failures: an unknown
+                    # benchmark or scheduler surfaces as SweepError whether
+                    # or not a cache is attached — or as a JobFailure in
+                    # skip/retry mode (retrying a structurally-invalid job
+                    # cannot help).
+                    self.fail(index, job, None, exc)
+                    continue
+                self.keys.append(key)
+            if cache is not None:
+                hit = _decode_cached_result(cache.get(key))
+                if hit is not None:
+                    self.results[index] = hit
+                    self.stats.cache_hits += 1
+                    continue
+            self.pending.append((index, job, key))
+        self.stats.executed = len(self.pending)
+
+    # -- settlement ----------------------------------------------------
+    def record(self, job, key: Optional[str], status: str, attempts: int,
+               error: str = "") -> None:
+        """Append one manifest row for ``job`` (keyless jobs have none)."""
+        if self.manifest_path is None or key is None:
+            return
+        try:
+            backend = job.resolved_backend()
+        except KeyError:
+            backend = str(job.backend or "")
+        append_outcome(self.manifest_path, ManifestEntry(
+            key=key,
+            status=status,
+            attempts=attempts,
+            benchmark=job.benchmark_name,
+            scheduler=job.scheduler,
+            backend=backend,
+            error=error,
+        ))
+
+    def succeed(self, index: int, job, key: Optional[str],
+                result: SimulationResult, attempts: int) -> None:
+        """Settle a completed job: result slot, cache write, ``done`` row."""
+        self.results[index] = result
+        if self.cache is not None and key is not None:
+            self.cache.put(key, result.to_dict())
+        self.record(job, key, "done", attempts)
+
+    def fail(self, index: int, job, key: Optional[str], cause: BaseException,
+             *, attempts: int = 1, timed_out: bool = False,
+             completed: Optional[int] = None,
+             outstanding: Optional[int] = None) -> None:
+        """Settle a job that exhausted its attempts (``completed`` /
+        ``outstanding`` describe what survived, for :class:`SweepError`)."""
+        error_type = _error_type(cause)
+        self.stats.failed += 1
+        self.record(
+            job, key, "timeout" if timed_out else "failed", attempts,
+            error=f"{error_type}: {cause}",
+        )
+        if self.on_error == "raise":
+            raise SweepError(
+                job, cause, completed=completed, outstanding=outstanding
+            ) from cause
+        self.results[index] = JobFailure(
+            job=job,
+            error=str(cause),
+            error_type=error_type,
+            attempts=attempts,
+            timed_out=timed_out,
+        )
+
+    def finish(self, ledger_rows: Sequence[dict] = ()) -> SweepOutcome:
+        """Stamp the wall time and write the ledger, merging ``ledger_rows``
+        (a remote sweep's worker rows) with duplicates dropped."""
+        self.stats.wall_seconds = time.perf_counter() - self.start
+        try:
+            record_sweep(self.stats, keys=self.keys or None)
+            for row in merge_ledger_entries([ledger_rows]):
+                append_entry(row)
+        except Exception:
+            pass  # the ledger is best-effort; never fail a sweep over it
+        return SweepOutcome(
+            jobs=self.jobs,
+            results=self.results,
+            stats=self.stats,
+            manifest_skipped=self.manifest_skipped,
+        )
+
+
+def _run_inprocess(books: _Sweep, policy: RetryPolicy, attempts_allowed: int) -> None:
+    """The in-process (workers == 1) executor: one attempt loop per job.
+
+    Timeouts and straggler duplicates need a pool — a job running in this
+    very process cannot be interrupted — so only the retry/backoff half of
+    the policy applies here (documented in docs/RESILIENCE.md).
+    """
+    for index, job, key in books.pending:
+        attempt = 1
+        while True:
+            try:
+                result = _execute(job, attempt)
+            except Exception as exc:
+                if attempt < attempts_allowed:
+                    books.stats.retried += 1
+                    time.sleep(
+                        policy.backoff_seconds(key or f"index:{index}", attempt)
+                    )
+                    attempt += 1
+                    continue
+                books.fail(index, job, key, exc, attempts=attempt)
+            else:
+                books.succeed(index, job, key, result, attempt)
+            break
 
 
 def _pool_context():
@@ -472,7 +643,7 @@ class _PendingJob:
 
     __slots__ = (
         "index", "job", "key", "fail_count", "dispatches", "inflight",
-        "not_before", "running_since", "settled", "last_error", "timed_out",
+        "not_before", "running_since", "settled", "timed_out",
     )
 
     def __init__(self, index: int, job: AnyRequest, key: Optional[str]) -> None:
@@ -488,7 +659,6 @@ class _PendingJob:
         #: run while it waits).  ``None`` until a dispatch reports running.
         self.running_since: Optional[float] = None
         self.settled = False
-        self.last_error: Optional[BaseException] = None
         self.timed_out = False
 
     def backoff_key(self) -> str:
@@ -496,30 +666,16 @@ class _PendingJob:
 
 
 class _PoolRunner:
-    """The fault-tolerant process-pool execution loop of :func:`run_jobs`."""
+    """The fault-tolerant process-pool executor of :func:`run_jobs`."""
 
     #: Poll granularity while deadlines (timeouts, backoff, stragglers) are
     #: armed; without any, the loop blocks until a future completes.
     TICK = 0.05
 
-    def __init__(
-        self,
-        pending: list[tuple[int, AnyRequest, Optional[str]]],
-        *,
-        stats: SweepStats,
-        results: list,
-        cache: Optional[ResultCache],
-        manifest_path: Optional[Path],
-        on_error: str,
-        policy: RetryPolicy,
-        attempts_allowed: int,
-    ) -> None:
-        self.states = [_PendingJob(i, job, key) for i, job, key in pending]
-        self.stats = stats
-        self.results = results
-        self.cache = cache
-        self.manifest_path = manifest_path
-        self.on_error = on_error
+    def __init__(self, books: _Sweep, policy: RetryPolicy, attempts_allowed: int) -> None:
+        self.books = books
+        self.states = [_PendingJob(i, job, key) for i, job, key in books.pending]
+        self.stats = books.stats
         self.policy = policy
         self.attempts_allowed = attempts_allowed
         #: Crash re-dispatch is infrastructure recovery, not a job retry,
@@ -555,23 +711,6 @@ class _PoolRunner:
             if any(f.running() or f.done() for f in state.inflight):
                 state.running_since = now
 
-    def _record_manifest(self, state: _PendingJob, status: str, error: str = "") -> None:
-        if self.manifest_path is None or state.key is None:
-            return
-        try:
-            backend = state.job.resolved_backend()
-        except KeyError:
-            backend = str(state.job.backend or "")
-        append_outcome(self.manifest_path, ManifestEntry(
-            key=state.key,
-            status=status,
-            attempts=state.dispatches,
-            benchmark=state.job.benchmark_name,
-            scheduler=state.job.scheduler,
-            backend=backend,
-            error=error,
-        ))
-
     # -- settlement ----------------------------------------------------
     def _abandon_inflight(self, state: _PendingJob) -> None:
         for future in state.inflight:
@@ -580,45 +719,28 @@ class _PoolRunner:
                 self.abandoned.add(future)
         state.inflight.clear()
 
-    def _settle_success(self, state: _PendingJob, result: SimulationResult) -> None:
+    def _settle(self, state: _PendingJob, result=None, exc=None) -> None:
+        """Hand ``state``'s final outcome to the books; first result wins."""
         state.settled = True
         self.unsettled -= 1
-        self.results[state.index] = result
-        if self.cache is not None and state.key is not None:
-            self.cache.put(state.key, result.to_dict())
-        self._record_manifest(state, "done")
-        self._abandon_inflight(state)  # first result wins; drop any duplicate
-
-    def _settle_failure(self, state: _PendingJob, exc: BaseException) -> None:
-        state.settled = True
-        self.unsettled -= 1
-        self.stats.failed += 1
-        self._abandon_inflight(state)
-        status = "timeout" if state.timed_out else "failed"
-        self._record_manifest(state, status, error=f"{type(exc).__name__}: {exc}")
-        if self.on_error == "raise":
-            completed = sum(
-                1 for s in self.states
-                if s.settled and not isinstance(self.results[s.index], JobFailure)
-                and self.results[s.index] is not None
-            )
-            outstanding = len(self.future_map) + len(self.ready) + len(self.waiting)
+        self._abandon_inflight(state)  # drop any duplicate dispatch
+        attempts = max(1, state.dispatches)
+        if exc is None:
+            self.books.succeed(state.index, state.job, state.key, result, attempts)
+            return
+        if self.books.on_error == "raise" and self.pool is not None:
             _force_shutdown(self.pool)
-            raise SweepError(
-                state.job, exc, completed=completed, outstanding=outstanding
-            ) from exc
-        self.results[state.index] = JobFailure(
-            job=state.job,
-            error=str(exc),
-            error_type=type(exc).__name__,
-            attempts=max(1, state.dispatches),
+        self.books.fail(
+            state.index, state.job, state.key, exc,
+            attempts=attempts,
             timed_out=state.timed_out,
+            completed=len(self.states) - self.unsettled - 1,
+            outstanding=self.unsettled,
         )
 
     def _fail_attempt(
         self, state: _PendingJob, exc: BaseException, *, timed_out: bool = False
     ) -> None:
-        state.last_error = exc
         state.timed_out = state.timed_out or timed_out
         state.fail_count += 1
         if state.inflight:
@@ -626,8 +748,7 @@ class _PoolRunner:
             # yet win; hold judgement until the last dispatch settles.
             return
         if (
-            self.on_error == "retry"
-            and state.fail_count < self.attempts_allowed
+            state.fail_count < self.attempts_allowed
             and state.dispatches < self.max_dispatches
         ):
             self.stats.retried += 1
@@ -635,7 +756,7 @@ class _PoolRunner:
             state.not_before = time.monotonic() + delay
             self.waiting.append(state)
             return
-        self._settle_failure(state, exc)
+        self._settle(state, exc=exc)
 
     # -- pool-break recovery -------------------------------------------
     def _handle_pool_break(
@@ -654,18 +775,12 @@ class _PoolRunner:
             state.inflight.clear()
         broken_pool, self.pool = self.pool, None
         broken_pool.shutdown(wait=False, cancel_futures=True)
-        if self.on_error == "raise":
-            completed = sum(1 for s in self.states if s.settled)
-            named = lost[0] if lost else broken_states[0]
-            raise SweepError(
-                named.job,
-                RuntimeError(
-                    f"a worker process crashed while running this job "
-                    f"({type(exc).__name__}: {exc})"
-                ),
-                completed=completed,
-                outstanding=len(lost) + len(self.ready) + len(self.waiting),
-            ) from exc
+        if self.books.on_error == "raise":
+            # Every broken state is unsettled, so ``lost`` names at least one.
+            self._settle(lost[0], exc=RuntimeError(
+                f"a worker process crashed while running this job "
+                f"({type(exc).__name__}: {exc})"
+            ))
         # Respawn and re-dispatch only the lost jobs.  A crash consumes no
         # retry attempt (the job itself did not fail) but every re-dispatch
         # counts against max_dispatches, bounding crash loops.
@@ -674,8 +789,7 @@ class _PoolRunner:
         )
         for state in lost:
             if state.dispatches >= self.max_dispatches:
-                state.last_error = exc
-                self._settle_failure(state, RuntimeError(
+                self._settle(state, exc=RuntimeError(
                     f"worker crashed on every dispatch "
                     f"({state.dispatches} of them): {exc}"
                 ))
@@ -788,7 +902,7 @@ class _PoolRunner:
                         broken_states.append(state)
                         continue
                     if exc is None:
-                        self._settle_success(state, future.result())
+                        self._settle(state, future.result())
                     else:
                         self._fail_attempt(state, exc)
                 if broken_exc is not None:
@@ -801,61 +915,6 @@ class _PoolRunner:
                     _force_shutdown(self.pool)
                 else:
                     self.pool.shutdown(wait=True)
-
-
-def _run_inprocess_resilient(
-    pending: list[tuple[int, AnyRequest, Optional[str]]],
-    *,
-    stats: SweepStats,
-    results: list,
-    cache: Optional[ResultCache],
-    manifest_path: Optional[Path],
-    on_error: str,
-    policy: RetryPolicy,
-    attempts_allowed: int,
-) -> None:
-    """The in-process (workers == 1) retry/skip loop.
-
-    Timeouts and straggler duplicates need a pool — a job running in this
-    very process cannot be interrupted — so only the retry/backoff half of
-    the policy applies here (documented in docs/RESILIENCE.md).
-    """
-    for index, job, key in pending:
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                result = _execute(job, attempt)
-            except Exception as exc:
-                if on_error == "retry" and attempt < attempts_allowed:
-                    stats.retried += 1
-                    time.sleep(
-                        policy.backoff_seconds(key or f"index:{index}", attempt)
-                    )
-                    continue
-                stats.failed += 1
-                if manifest_path is not None and key is not None:
-                    append_outcome(manifest_path, ManifestEntry(
-                        key=key, status="failed", attempts=attempt,
-                        benchmark=job.benchmark_name, scheduler=job.scheduler,
-                        error=f"{type(exc).__name__}: {exc}",
-                    ))
-                if on_error == "raise":
-                    raise SweepError(job, exc) from exc
-                results[index] = JobFailure(
-                    job=job, error=str(exc), error_type=type(exc).__name__,
-                    attempts=attempt,
-                )
-                break
-            results[index] = result
-            if cache is not None and key is not None:
-                cache.put(key, result.to_dict())
-            if manifest_path is not None and key is not None:
-                append_outcome(manifest_path, ManifestEntry(
-                    key=key, status="done", attempts=attempt,
-                    benchmark=job.benchmark_name, scheduler=job.scheduler,
-                ))
-            break
 
 
 def run_jobs(
@@ -893,148 +952,14 @@ def run_jobs(
     re-run of the same sweep skips everything already completed and
     re-executes only failures, timeouts and never-ran jobs.
     """
-    if on_error not in ON_ERROR_MODES:
-        raise ValueError(
-            f"unknown on_error mode {on_error!r} (choose from {ON_ERROR_MODES})"
-        )
+    books = _Sweep(
+        jobs, cache=cache, backend=backend, on_error=on_error, manifest=manifest
+    )
     policy = retry if retry is not None else RetryPolicy()
     attempts_allowed = policy.max_attempts if on_error == "retry" else 1
-
-    jobs = list(jobs)
-    if backend is not None:
-        jobs = [
-            job
-            if job.backend is not None or isinstance(job, MultiTenantRequest)
-            else replace(job, backend=backend)
-            for job in jobs
-        ]
-    if isinstance(cache, str):
-        if cache != AUTO_CACHE:
-            raise ValueError(f"unknown cache mode {cache!r}")
-        cache = ResultCache.from_env()
-    manifest_path = Path(manifest) if manifest is not None else None
-    manifest_skipped = 0
-    if manifest_path is not None:
-        # Touch-load for the resume contract: malformed files surface here,
-        # and "done" keys whose results the cache still holds are served as
-        # plain cache hits below (the manifest stores statuses, the cache
-        # stores results — see repro.harness.manifest).  Damaged lines are
-        # counted onto the outcome so sweep summaries can warn about them.
-        manifest_skipped = scan_manifest(manifest_path)[1]
-
-    start = time.perf_counter()
-    results: list[Optional[SimulationResult]] = [None] * len(jobs)
-    pending: list[tuple[int, AnyRequest, Optional[str]]] = []
-
-    stats = SweepStats(jobs=len(jobs), backend=_resolved_backends(jobs))
-    sweep_keys: list[str] = []
-    for index, job in enumerate(jobs):
-        key = None
-        if cache is not None or manifest_path is not None:
-            try:
-                key = job.cache_key()
-                sweep_keys.append(key)
-            except Exception as exc:
-                # Same contract as execution failures: an unknown benchmark
-                # or scheduler surfaces as SweepError whether or not a cache
-                # is attached — or as a JobFailure in skip/retry mode
-                # (retrying a structurally-invalid job cannot help).
-                if on_error == "raise":
-                    raise SweepError(job, exc) from exc
-                stats.failed += 1
-                results[index] = JobFailure(
-                    job=job, error=str(exc), error_type=type(exc).__name__,
-                )
-                continue
-        if cache is not None:
-            hit = _decode_cached(cache.get(key))
-            if hit is not None:
-                results[index] = hit
-                stats.cache_hits += 1
-                continue
-        pending.append((index, job, key))
-
-    stats.executed = len(pending)
-    stats.workers = resolve_workers(workers, len(pending))
-
-    if stats.workers <= 1:
-        if pending:
-            if on_error == "raise" and attempts_allowed == 1:
-                # One repro.api.run_batch call: jobs are grouped per engine
-                # so per-kernel setup (the vector engine's trace interning)
-                # amortises across the sweep instead of per job.  The cache
-                # is handed through so completed results are written as
-                # they land — a failing job never discards the work done
-                # before it — and the on_result hook checkpoints each
-                # completion into the manifest as it happens.
-                from repro.api import BatchExecutionError, run_batch
-
-                on_result = None
-                if manifest_path is not None:
-                    keys = {i: key for i, (_, _, key) in enumerate(pending)}
-
-                    def on_result(batch_index, job, _result):
-                        key = keys.get(batch_index)
-                        if key is None:
-                            return
-                        append_outcome(manifest_path, ManifestEntry(
-                            key=key, status="done",
-                            benchmark=job.benchmark_name,
-                            scheduler=job.scheduler,
-                        ))
-
-                try:
-                    outcomes = run_batch(
-                        [job for _, job, _ in pending], cache=cache,
-                        on_result=on_result,
-                    )
-                except BatchExecutionError as exc:
-                    if manifest_path is not None:
-                        try:
-                            append_outcome(manifest_path, ManifestEntry(
-                                key=exc.request.cache_key(), status="failed",
-                                benchmark=exc.request.benchmark_name,
-                                scheduler=exc.request.scheduler,
-                                error=str(exc.__cause__ or exc),
-                            ))
-                        except Exception:
-                            pass
-                    raise SweepError(exc.request, exc.__cause__ or exc) from exc
-                except Exception as exc:
-                    raise SweepError(pending[0][1], exc) from exc
-                for (index, _job, _key), result in zip(pending, outcomes):
-                    results[index] = result
-            else:
-                _run_inprocess_resilient(
-                    pending,
-                    stats=stats,
-                    results=results,
-                    cache=cache,
-                    manifest_path=manifest_path,
-                    on_error=on_error,
-                    policy=policy,
-                    attempts_allowed=attempts_allowed,
-                )
-    elif pending:
-        _PoolRunner(
-            pending,
-            stats=stats,
-            results=results,
-            cache=cache,
-            manifest_path=manifest_path,
-            on_error=on_error,
-            policy=policy,
-            attempts_allowed=attempts_allowed,
-        ).run()
-
-    stats.wall_seconds = time.perf_counter() - start
-    try:
-        record_sweep(stats, keys=sweep_keys or None)
-    except Exception:
-        pass  # the ledger is best-effort; never fail a sweep over it
-    return SweepOutcome(
-        jobs=jobs,
-        results=results,
-        stats=stats,
-        manifest_skipped=manifest_skipped,
-    )
+    books.stats.workers = resolve_workers(workers, len(books.pending))
+    if books.stats.workers <= 1:
+        _run_inprocess(books, policy, attempts_allowed)
+    elif books.pending:
+        _PoolRunner(books, policy, attempts_allowed).run()
+    return books.finish()

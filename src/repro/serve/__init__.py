@@ -19,7 +19,6 @@ from repro.serve.server import (
     ServiceDraining,
     ServiceOverloaded,
     canonical_json,
-    decode_request_payload,
     run_service,
 )
 from repro.serve.stats import BackendThroughput, ServiceStats
@@ -37,6 +36,5 @@ __all__ = [
     "ServiceOverloaded",
     "ServiceStats",
     "canonical_json",
-    "decode_request_payload",
     "run_service",
 ]

@@ -4,9 +4,9 @@ Requests that were neither cache hits nor coalesced land here.  The
 dispatcher collects them into batches — up to ``batch_max`` requests, or
 whatever arrived within the ``linger`` window after the first one — and
 hands each batch to :func:`repro.api.run_batch` on a worker-thread pool.
-Batching is what lets engines that intern per-kernel state (the ``vector``
-backend's extracted traces) pay setup once per kernel instead of once per
-request, exactly as the sweep engine's in-process path does.
+Engines that intern per-kernel state (the ``vector`` backend's extracted
+traces) keep it process-wide, so a batch pays setup once per kernel, exactly
+as the sweep engine's in-process path does.
 
 Failure attribution: ``run_batch`` raises :class:`repro.api
 .BatchExecutionError` naming one offending request (message now carries its

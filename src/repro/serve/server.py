@@ -54,8 +54,6 @@ from repro.harness.ledger import append_entry, read_ledger, summarize_ledger
 from repro.harness.parallel import RetryPolicy
 from repro.serve.coalesce import Coalescer
 from repro.serve.http import (
-    MAX_BODY_BYTES,
-    REASONS as _REASONS,
     HttpRequest,
     canonical_json,
     read_http_request,
@@ -67,16 +65,6 @@ from repro.version import __version__
 
 #: Default TCP port of ``repro serve`` (and ``repro submit``'s default URL).
 DEFAULT_PORT = 8651
-
-#: Historic aliases — the HTTP plumbing moved to :mod:`repro.serve.http`
-#: (shared with ``repro worker``); these names remain importable.
-_read_http_request = read_http_request
-_respond = respond
-
-#: The request-payload dispatcher now lives beside the wire forms
-#: themselves (:func:`repro.api.decode_request`); this alias keeps the
-#: serving layer's public name.
-decode_request_payload = decode_request
 
 
 class RejectedRequest(ValueError):
@@ -358,9 +346,9 @@ class ReproService:
     async def _handle_connection(self, reader, writer) -> None:
         try:
             try:
-                request = await _read_http_request(reader)
+                request = await read_http_request(reader)
             except (ValueError, asyncio.IncompleteReadError) as exc:
-                await _respond(writer, 400, {"error": f"bad request: {exc}"})
+                await respond(writer, 400, {"error": f"bad request: {exc}"})
                 return
             if request is None:
                 return
@@ -369,7 +357,7 @@ class ReproService:
             pass  # client went away mid-response; nothing to answer
         except Exception as exc:  # never let a handler bug kill the loop
             try:
-                await _respond(writer, 500, {"error": f"internal error: {exc}"})
+                await respond(writer, 500, {"error": f"internal error: {exc}"})
             except Exception:
                 pass
         finally:
@@ -383,9 +371,9 @@ class ReproService:
         method, path = request.method, request.path.rstrip("/") or "/"
         if path == "/healthz":
             if method != "GET":
-                await _respond(writer, 405, {"error": "use GET"})
+                await respond(writer, 405, {"error": "use GET"})
                 return
-            await _respond(
+            await respond(
                 writer,
                 200,
                 {
@@ -395,55 +383,55 @@ class ReproService:
             )
         elif path == "/stats":
             if method != "GET":
-                await _respond(writer, 405, {"error": "use GET"})
+                await respond(writer, 405, {"error": "use GET"})
                 return
-            await _respond(writer, 200, self.stats_payload())
+            await respond(writer, 200, self.stats_payload())
         elif path == "/jobs":
             if method != "GET":
-                await _respond(writer, 405, {"error": "use GET"})
+                await respond(writer, 405, {"error": "use GET"})
                 return
             records = list(self.jobs.values())[-50:]
-            await _respond(
+            await respond(
                 writer, 200, {"jobs": [r.to_dict() for r in reversed(records)]}
             )
         elif path.startswith("/jobs/"):
             if method != "GET":
-                await _respond(writer, 405, {"error": "use GET"})
+                await respond(writer, 405, {"error": "use GET"})
                 return
             record = self.jobs.get(path[len("/jobs/"):])
             if record is None:
-                await _respond(writer, 404, {"error": "unknown job"})
+                await respond(writer, 404, {"error": "unknown job"})
                 return
-            await _respond(writer, 200, record.to_dict())
+            await respond(writer, 200, record.to_dict())
         elif path == "/simulate":
             if method != "POST":
-                await _respond(writer, 405, {"error": "use POST"})
+                await respond(writer, 405, {"error": "use POST"})
                 return
             await self._handle_simulate(request, writer)
         elif path == "/shutdown":
             if method != "POST":
-                await _respond(writer, 405, {"error": "use POST"})
+                await respond(writer, 405, {"error": "use POST"})
                 return
-            await _respond(writer, 200, {"status": "draining"})
+            await respond(writer, 200, {"status": "draining"})
             self.begin_shutdown()
         else:
-            await _respond(writer, 404, {"error": f"unknown path {path!r}"})
+            await respond(writer, 404, {"error": f"unknown path {path!r}"})
 
     async def _handle_simulate(self, http: HttpRequest, writer) -> None:
         try:
             payload = json.loads(http.body.decode("utf-8"))
-            request = decode_request_payload(payload)
+            request = decode_request(payload)
         except (ValueError, UnicodeDecodeError) as exc:
             self.stats.record_rejected()
-            await _respond(writer, 400, {"error": f"bad payload: {exc}"})
+            await respond(writer, 400, {"error": f"bad payload: {exc}"})
             return
         try:
             result, source, record = await self.submit(request)
         except ServiceDraining as exc:
-            await _respond(writer, 503, {"error": str(exc)})
+            await respond(writer, 503, {"error": str(exc)})
             return
         except ServiceOverloaded as exc:
-            await _respond(
+            await respond(
                 writer,
                 503,
                 {"error": str(exc), "retry_after": exc.retry_after},
@@ -451,10 +439,10 @@ class ReproService:
             )
             return
         except RejectedRequest as exc:
-            await _respond(writer, 400, {"error": str(exc)})
+            await respond(writer, 400, {"error": str(exc)})
             return
         except Exception as exc:
-            await _respond(writer, 500, {"error": str(exc)})
+            await respond(writer, 500, {"error": str(exc)})
             return
         # The body is the canonical rendering of the result wire form —
         # byte-identical across the cache / coalesced / executed paths and
@@ -462,7 +450,7 @@ class ReproService:
         # headers so it can never perturb response bytes.
         wire = result.to_dict()
         body = canonical_json(wire)
-        await _respond(
+        await respond(
             writer,
             200,
             body,

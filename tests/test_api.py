@@ -26,7 +26,6 @@ from repro.backends import (
 from repro.core.config import CIAOParameters
 from repro.gpu.config import GPUConfig
 from repro.gpu.gpu import SimulationResult
-from repro.harness.parallel import SweepJob
 from repro.workloads.registry import get_benchmark
 
 SMALL = RunConfig(scale=0.05, seed=1)
@@ -183,14 +182,10 @@ class TestCanonicalize:
 
 
 class TestCacheKeyCompatibility:
-    def test_sweepjob_is_the_request_type(self):
-        # The deprecation shim is a true alias: no parallel job type exists.
-        assert SweepJob is SimulationRequest
-
     def test_shim_and_request_share_cache_keys(self):
-        shim_key = SweepJob("SYRK", "ciao_c", SMALL).cache_key()
+        alias_key = SimulationRequest("SYRK", "ciao_c", SMALL).cache_key()
         api_key = SimulationRequest("SYRK", "ciao-c", SMALL).cache_key()
-        assert shim_key == api_key
+        assert alias_key == api_key
 
     def test_backend_is_part_of_the_key(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)

@@ -142,7 +142,7 @@ class TestCommands:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["cache"]) == 0
         assert str(tmp_path) in capsys.readouterr().out
-        assert main(["cache", "--clear"]) == 0
+        assert main(["cache", "clear"]) == 0
         assert "removed 0" in capsys.readouterr().out
 
 

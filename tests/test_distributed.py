@@ -719,3 +719,61 @@ class TestGoldenMatrixSharded:
         got = [canonical_json(result.to_dict()) for _, result in outcome]
         assert got == want
         assert outcome.stats.executed == len(jobs) == 26
+
+
+class TestSettlementParity:
+    """Every executor — in-process, process pool, remote worker — plans and
+    settles a sweep through the same books, so the same failing sweep leaves
+    the same result slots, failures and manifest rows whichever one ran it."""
+
+    JOBS = [
+        SimulationRequest("ATAX", "gto", SMALL),
+        # Valid names (the key plan accepts it) but a launch geometry that
+        # fails at materialisation time, mid-sweep.
+        SimulationRequest("ATAX", "gto", RunConfig(scale=0.02, seed=1, num_ctas=0)),
+        SimulationRequest("BICG", "gto", SMALL),
+    ]
+
+    def executors(self, worker):
+        return {
+            "in-process": lambda **kw: run_jobs(self.JOBS, workers=1, cache=None, **kw),
+            "pool": lambda **kw: run_jobs(self.JOBS, workers=2, cache=None, **kw),
+            "remote": lambda **kw: run_distributed(
+                self.JOBS, [worker.ref], cache=None, **kw
+            ),
+        }
+
+    def test_skip_mode_settles_identically(self, worker, tmp_path):
+        settled, rows = {}, {}
+        for name, run in self.executors(worker).items():
+            manifest = tmp_path / f"{name}.manifest"
+            outcome = run(on_error="skip", manifest=manifest)
+            settled[name] = [
+                (r.error, r.error_type, r.attempts, r.timed_out)
+                if isinstance(r, JobFailure) else canonical_json(r.to_dict())
+                for r in outcome.results
+            ]
+            rows[name] = sorted(
+                (row["key"], row["status"], row["attempts"], row["backend"])
+                for row in map(json.loads, manifest.read_text().splitlines())
+            )
+        want = settled["in-process"]
+        assert want[1] == ("launch geometry must be positive", "ValueError", 1, False)
+        assert settled["pool"] == want and settled["remote"] == want
+        assert rows["pool"] == rows["in-process"] == rows["remote"]
+        assert sorted(status for _, status, _, _ in rows["in-process"]) == [
+            "done", "done", "failed",
+        ]
+        backend = self.JOBS[0].resolved_backend()
+        assert all(row[2] == 1 and row[3] == backend for row in rows["in-process"])
+
+    def test_raise_mode_names_the_same_job_and_cause(self, worker):
+        messages = set()
+        for run in self.executors(worker).values():
+            with pytest.raises(SweepError) as excinfo:
+                run()
+            assert excinfo.value.job == self.JOBS[1]
+            # The pool appends how much of the sweep survived after a ";".
+            messages.add(str(excinfo.value).split(";")[0])
+        assert len(messages) == 1
+        assert "ValueError: launch geometry must be positive" in messages.pop()

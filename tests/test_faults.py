@@ -9,6 +9,7 @@ paths in the sweep engine it exists to exercise: retry with backoff,
 
 import pytest
 
+from repro.api import SimulationRequest
 from repro.backends import BackendUnavailableError, get_backend
 from repro.harness.faults import (
     FAULT_KINDS,
@@ -24,7 +25,6 @@ from repro.harness.parallel import (
     JobFailure,
     RetryPolicy,
     SweepError,
-    SweepJob,
     run_jobs,
 )
 from repro.harness.runner import RunConfig
@@ -46,7 +46,7 @@ def clean_chaos(monkeypatch):
 
 def _jobs(backend=None, benchmarks=("SYRK", "ATAX"), schedulers=("gto", "ciao-c")):
     return [
-        SweepJob(b, s, SMALL, backend=backend)
+        SimulationRequest(b, s, SMALL, backend=backend)
         for b in benchmarks
         for s in schedulers
     ]
@@ -100,7 +100,7 @@ class TestFaultPlan:
     def test_fault_key_is_stable_across_code_versions(self):
         # Fault keys use a pinned code version, so they differ from the
         # result-cache key (which fingerprints the source tree).
-        job = SweepJob("ATAX", "gto", SMALL)
+        job = SimulationRequest("ATAX", "gto", SMALL)
         assert fault_key_for(job) == fault_key_for(job)
         assert fault_key_for(job) != job.cache_key()
 
@@ -127,7 +127,7 @@ class TestChaosBackend:
 
     def test_zero_rate_is_a_transparent_wrapper(self):
         configure_chaos(FaultPlan(seed=1, rate=0.0))
-        job = SweepJob("ATAX", "gto", SMALL)
+        job = SimulationRequest("ATAX", "gto", SMALL)
         via_chaos = ChaosBackend().execute(job)
         direct = get_backend("reference").execute(job)
         assert via_chaos == direct
@@ -135,17 +135,17 @@ class TestChaosBackend:
     def test_fail_kind_raises_injected_fault(self):
         configure_chaos(FaultPlan(seed=1, rate=1.0, kinds=("fail",)))
         with pytest.raises(InjectedFault, match="ATAX/gto"):
-            ChaosBackend().execute(SweepJob("ATAX", "gto", SMALL))
+            ChaosBackend().execute(SimulationRequest("ATAX", "gto", SMALL))
 
     def test_crash_downgraded_in_main_process(self):
         configure_chaos(FaultPlan(seed=1, rate=1.0, kinds=("crash",)))
         with pytest.raises(InjectedFault, match="downgraded"):
-            ChaosBackend().execute(SweepJob("ATAX", "gto", SMALL))
+            ChaosBackend().execute(SimulationRequest("ATAX", "gto", SMALL))
 
     def test_self_delegation_refused(self):
         configure_chaos(FaultPlan(seed=1, rate=0.0, delegate="chaos"))
         with pytest.raises(ValueError, match="delegate"):
-            ChaosBackend().execute(SweepJob("ATAX", "gto", SMALL))
+            ChaosBackend().execute(SimulationRequest("ATAX", "gto", SMALL))
 
 
 class TestSweepRecovery:

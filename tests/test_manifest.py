@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import SimulationRequest
 from repro.harness.cache import ResultCache
 from repro.harness.faults import FaultPlan, configure_chaos
 from repro.harness.manifest import (
@@ -13,7 +14,7 @@ from repro.harness.manifest import (
     merge_manifests,
     summarize_manifest,
 )
-from repro.harness.parallel import SweepJob, run_jobs
+from repro.harness.parallel import run_jobs
 from repro.harness.runner import RunConfig
 
 SMALL = RunConfig(scale=0.02, seed=1)
@@ -136,7 +137,7 @@ class TestSweepResume:
 
     def _jobs(self, benchmarks=("SYRK", "ATAX"), backend=None):
         return [
-            SweepJob(b, s, SMALL, backend=backend)
+            SimulationRequest(b, s, SMALL, backend=backend)
             for b in benchmarks
             for s in ("gto", "ciao-c")
         ]

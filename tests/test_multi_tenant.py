@@ -29,6 +29,7 @@ from repro.gpu.stats import TenantStats
 from repro.harness import experiments
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import SweepError, run_jobs
+from repro.scenarios import library
 
 PAIR = pair_request()
 
@@ -242,13 +243,13 @@ class TestEngineIntegration:
 # ---------------------------------------------------------------------------
 class TestScenarioLibrary:
     def test_library_shape(self):
-        names = experiments.colocation_scenario_names()
+        names = library.colocation_scenario_names()
         assert "thrash-vs-compute" in names
         assert len(names) >= 4
 
-    @pytest.mark.parametrize("name", experiments.colocation_scenario_names())
+    @pytest.mark.parametrize("name", library.colocation_scenario_names())
     def test_every_scenario_is_well_formed(self, name):
-        request = experiments.colocation_scenario(name)
+        request = library.colocation_scenario(name)
         canonical = request.canonicalize()
         assert canonical.backend == "lockstep"
         # Tenants model separate processes: distinct address spaces.
@@ -258,10 +259,10 @@ class TestScenarioLibrary:
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError, match="unknown scenario"):
-            experiments.colocation_scenario("nope")
+            library.colocation_scenario("nope")
 
     def test_isolated_request_keeps_machine_size(self):
-        request = experiments.colocation_scenario("asymmetric-split")
+        request = library.colocation_scenario("asymmetric-split")
         isolated = request.isolated_request("narrow")
         assert isolated.machine_sms() == request.machine_sms()
         assert [t.name for t in isolated.tenants] == ["narrow"]
@@ -285,7 +286,7 @@ class TestScenarioLibrary:
         assert sum(shares) == pytest.approx(1.0)
 
     def test_slowdown_metric_against_hand_rolled_baselines(self):
-        request = experiments.colocation_scenario("thrash-vs-compute")
+        request = library.colocation_scenario("thrash-vs-compute")
         colocated = execute(request)
         isolated = {
             t.name: execute(request.isolated_request(t.name)) for t in request.tenants
@@ -398,12 +399,12 @@ class TestCLI:
         import dataclasses
 
         pinned = dataclasses.replace(
-            experiments.COLOCATION_SCENARIOS["thrash-vs-compute"],
+            library.COLOCATION_SCENARIOS["thrash-vs-compute"],
             name="pinned-seed",
             scale=0.05,
             seed=7,
         )
-        monkeypatch.setitem(experiments.COLOCATION_SCENARIOS, "pinned-seed", pinned)
+        monkeypatch.setitem(library.COLOCATION_SCENARIOS, "pinned-seed", pinned)
         rc = main(["run", "--scenario", "pinned-seed", "--no-cache", "--json"])
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
@@ -452,7 +453,7 @@ class TestCLI:
     def test_list_scenarios(self, capsys):
         assert main(["list", "--scenarios"]) == 0
         out = capsys.readouterr().out
-        for name in experiments.colocation_scenario_names():
+        for name in library.colocation_scenario_names():
             assert name in out
 
     def test_list_mentions_scenarios(self, capsys):

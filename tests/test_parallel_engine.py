@@ -4,11 +4,11 @@ import os
 
 import pytest
 
+from repro.api import SimulationRequest
 from repro.harness.parallel import (
     JobFailure,
     RetryPolicy,
     SweepError,
-    SweepJob,
     derive_seed,
     resolve_workers,
     run_jobs,
@@ -19,7 +19,7 @@ SMALL = RunConfig(scale=0.05, seed=1)
 
 
 def _grid(benchmarks=("SYRK", "ATAX"), schedulers=("gto", "ciao-c"), config=SMALL):
-    return [SweepJob(b, s, config) for b in benchmarks for s in schedulers]
+    return [SimulationRequest(b, s, config) for b in benchmarks for s in schedulers]
 
 
 class TestIdenticalResults:
@@ -116,25 +116,25 @@ class TestWorkersAndErrors:
 
     def test_unknown_benchmark_raises_sweep_error(self):
         with pytest.raises(SweepError, match="NOPE"):
-            run_jobs([SweepJob("NOPE", "gto", SMALL)], workers=1, cache=None)
+            run_jobs([SimulationRequest("NOPE", "gto", SMALL)], workers=1, cache=None)
 
     def test_unknown_benchmark_raises_sweep_error_with_cache(self, tmp_path):
         from repro.harness.cache import ResultCache
 
         with pytest.raises(SweepError, match="NOPE"):
-            run_jobs([SweepJob("NOPE", "gto", SMALL)], workers=1,
+            run_jobs([SimulationRequest("NOPE", "gto", SMALL)], workers=1,
                      cache=ResultCache(tmp_path))
 
     def test_scheduler_alias_runs_identically_to_canonical(self):
         # Aliases share a cache key, so they must also share execution
         # semantics (notably shared-cache enablement for ciao-p / ciao-c).
-        alias = run_jobs([SweepJob("SYRK", "ciao_c", SMALL)], workers=1, cache=None)
-        canonical = run_jobs([SweepJob("SYRK", "ciao-c", SMALL)], workers=1, cache=None)
+        alias = run_jobs([SimulationRequest("SYRK", "ciao_c", SMALL)], workers=1, cache=None)
+        canonical = run_jobs([SimulationRequest("SYRK", "ciao-c", SMALL)], workers=1, cache=None)
         assert alias.results[0] == canonical.results[0]
         assert alias.results[0].scheduler_name == "ciao-c"
 
     def test_unknown_benchmark_raises_in_pool_too(self):
-        jobs = [SweepJob("SYRK", "gto", SMALL), SweepJob("NOPE", "gto", SMALL)]
+        jobs = [SimulationRequest("SYRK", "gto", SMALL), SimulationRequest("NOPE", "gto", SMALL)]
         with pytest.raises(SweepError, match="NOPE"):
             run_jobs(jobs, workers=2, cache=None)
 
@@ -173,14 +173,14 @@ class TestRetryPolicy:
 class TestOnErrorModes:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="on_error"):
-            run_jobs([SweepJob("SYRK", "gto", SMALL)], workers=1,
+            run_jobs([SimulationRequest("SYRK", "gto", SMALL)], workers=1,
                      cache=None, on_error="explode")
 
     def test_skip_mode_keeps_the_successes(self):
         jobs = [
-            SweepJob("SYRK", "gto", SMALL),
-            SweepJob("NOPE", "gto", SMALL),
-            SweepJob("ATAX", "gto", SMALL),
+            SimulationRequest("SYRK", "gto", SMALL),
+            SimulationRequest("NOPE", "gto", SMALL),
+            SimulationRequest("ATAX", "gto", SMALL),
         ]
         outcome = run_jobs(jobs, workers=1, cache=None, on_error="skip")
         assert not outcome.ok
@@ -194,9 +194,9 @@ class TestOnErrorModes:
 
     def test_skip_mode_in_pool_preserves_order(self):
         jobs = [
-            SweepJob("NOPE", "gto", SMALL),
-            SweepJob("SYRK", "gto", SMALL),
-            SweepJob("ATAX", "gto", SMALL),
+            SimulationRequest("NOPE", "gto", SMALL),
+            SimulationRequest("SYRK", "gto", SMALL),
+            SimulationRequest("ATAX", "gto", SMALL),
         ]
         outcome = run_jobs(jobs, workers=2, cache=None, on_error="skip")
         assert isinstance(outcome.results[0], JobFailure)
@@ -213,9 +213,9 @@ class TestPartialResults:
         import time
 
         jobs = [
-            SweepJob("SYRK", "gto", SMALL),
-            SweepJob("ATAX", "gto", SMALL),
-            SweepJob("NOPE", "gto", SMALL),
+            SimulationRequest("SYRK", "gto", SMALL),
+            SimulationRequest("ATAX", "gto", SMALL),
+            SimulationRequest("NOPE", "gto", SMALL),
         ]
         with pytest.raises(SweepError) as excinfo:
             run_jobs(jobs, workers=2, cache=None)
@@ -237,7 +237,7 @@ def test_parallel_sweep_is_faster_than_sequential():
     """Acceptance: >=4 benchmarks x >=3 schedulers, workers>1 beats workers=1."""
     config = RunConfig(scale=0.3, seed=1)
     jobs = [
-        SweepJob(b, s, config)
+        SimulationRequest(b, s, config)
         for b in ("ATAX", "SYRK", "BICG", "MVT")
         for s in ("gto", "ccws", "ciao-c")
     ]

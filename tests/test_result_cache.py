@@ -5,10 +5,11 @@ import pickle
 import pytest
 
 import repro.harness.parallel as parallel_mod
+from repro.api import SimulationRequest
 from repro.core.config import CIAOParameters
 from repro.gpu.config import GPUConfig
 from repro.harness.cache import ResultCache, canonicalize, code_fingerprint
-from repro.harness.parallel import SweepJob, run_jobs
+from repro.harness.parallel import run_jobs
 from repro.harness.runner import RunConfig
 
 SMALL = RunConfig(scale=0.05, seed=1)
@@ -21,19 +22,19 @@ def cache(tmp_path):
 
 class TestCacheHits:
     def test_hit_returns_stored_result_and_skips_simulation(self, cache, monkeypatch):
-        jobs = [SweepJob("SYRK", "gto", SMALL), SweepJob("ATAX", "ciao-c", SMALL)]
+        jobs = [SimulationRequest("SYRK", "gto", SMALL), SimulationRequest("ATAX", "ciao-c", SMALL)]
         calls = []
-        # The in-process path executes through repro.api.run_batch (one
-        # backend call per engine); count the jobs that reach it.
+        # The in-process executor runs each job through repro.api.execute;
+        # count the jobs that reach it.
         import repro.api as api_mod
 
-        real = api_mod.run_batch
+        real = api_mod.execute
 
-        def counting(requests, **kwargs):
-            calls.extend((r.benchmark_name, r.scheduler) for r in requests)
-            return real(requests, **kwargs)
+        def counting(request):
+            calls.append((request.benchmark_name, request.scheduler))
+            return real(request)
 
-        monkeypatch.setattr(api_mod, "run_batch", counting)
+        monkeypatch.setattr(api_mod, "execute", counting)
         cold = run_jobs(jobs, workers=1, cache=cache)
         assert len(calls) == 2
         assert cold.stats.cache_hits == 0 and cold.stats.executed == 2
@@ -45,7 +46,7 @@ class TestCacheHits:
             assert a == b
 
     def test_warm_sweep_is_nearly_free(self, cache):
-        jobs = [SweepJob(b, s, RunConfig(scale=0.1, seed=1))
+        jobs = [SimulationRequest(b, s, RunConfig(scale=0.1, seed=1))
                 for b in ("SYRK", "ATAX") for s in ("gto", "ciao-c")]
         cold = run_jobs(jobs, workers=1, cache=cache)
         warm = run_jobs(jobs, workers=1, cache=cache)
@@ -56,25 +57,25 @@ class TestCacheHits:
 
 class TestCacheKeys:
     def test_key_stable_for_identical_jobs(self):
-        assert SweepJob("SYRK", "gto", SMALL).cache_key() == \
-            SweepJob("SYRK", "gto", RunConfig(scale=0.05, seed=1)).cache_key()
+        assert SimulationRequest("SYRK", "gto", SMALL).cache_key() == \
+            SimulationRequest("SYRK", "gto", RunConfig(scale=0.05, seed=1)).cache_key()
 
     def test_key_changes_with_run_config(self):
-        base = SweepJob("SYRK", "gto", SMALL).cache_key()
-        assert base != SweepJob("SYRK", "gto", RunConfig(scale=0.06, seed=1)).cache_key()
-        assert base != SweepJob("SYRK", "gto", RunConfig(scale=0.05, seed=2)).cache_key()
-        assert base != SweepJob(
+        base = SimulationRequest("SYRK", "gto", SMALL).cache_key()
+        assert base != SimulationRequest("SYRK", "gto", RunConfig(scale=0.06, seed=1)).cache_key()
+        assert base != SimulationRequest("SYRK", "gto", RunConfig(scale=0.05, seed=2)).cache_key()
+        assert base != SimulationRequest(
             "SYRK", "gto", RunConfig(scale=0.05, seed=1, dram_bandwidth_scale=2.0)
         ).cache_key()
-        assert base != SweepJob(
+        assert base != SimulationRequest(
             "SYRK", "gto",
             RunConfig(scale=0.05, seed=1, gpu_config=GPUConfig.gtx480_8way_l1d()),
         ).cache_key()
 
     def test_key_changes_with_scheduler_kwargs(self):
         # ciao_params flow into the scheduler constructor kwargs.
-        default = SweepJob("SYRK", "ciao-c", SMALL).cache_key()
-        tweaked = SweepJob(
+        default = SimulationRequest("SYRK", "ciao-c", SMALL).cache_key()
+        tweaked = SimulationRequest(
             "SYRK", "ciao-c",
             RunConfig(scale=0.05, seed=1,
                       ciao_params=CIAOParameters.paper_defaults().with_high_epoch(1000)),
@@ -82,18 +83,18 @@ class TestCacheKeys:
         assert default != tweaked
 
     def test_key_changes_with_benchmark_and_scheduler(self):
-        base = SweepJob("SYRK", "gto", SMALL).cache_key()
-        assert base != SweepJob("ATAX", "gto", SMALL).cache_key()
-        assert base != SweepJob("SYRK", "ccws", SMALL).cache_key()
+        base = SimulationRequest("SYRK", "gto", SMALL).cache_key()
+        assert base != SimulationRequest("ATAX", "gto", SMALL).cache_key()
+        assert base != SimulationRequest("SYRK", "ccws", SMALL).cache_key()
 
     def test_scheduler_aliases_share_a_key(self):
-        assert SweepJob("SYRK", "ciao_c", SMALL).cache_key() == \
-            SweepJob("SYRK", "ciao-c", SMALL).cache_key()
+        assert SimulationRequest("SYRK", "ciao_c", SMALL).cache_key() == \
+            SimulationRequest("SYRK", "ciao-c", SMALL).cache_key()
 
     def test_code_fingerprint_in_key(self, monkeypatch):
-        base = SweepJob("SYRK", "gto", SMALL).cache_key()
+        base = SimulationRequest("SYRK", "gto", SMALL).cache_key()
         monkeypatch.setenv("REPRO_CACHE_VERSION", "pinned-test-version")
-        assert SweepJob("SYRK", "gto", SMALL).cache_key() != base
+        assert SimulationRequest("SYRK", "gto", SMALL).cache_key() != base
 
     def test_code_fingerprint_is_stable(self):
         assert code_fingerprint() == code_fingerprint()
@@ -171,7 +172,7 @@ class TestMultiTenantKeys:
         assert base.cache_key() != resched.cache_key()
 
     def test_multi_tenant_key_never_collides_with_single_kernel_key(self):
-        single = SweepJob("ATAX", "gto", SMALL, backend="lockstep").cache_key()
+        single = SimulationRequest("ATAX", "gto", SMALL, backend="lockstep").cache_key()
         assert self._request().cache_key() != single
 
 

@@ -1,10 +1,10 @@
 """``repro.api.run_batch``: batch execution equals per-request execution.
 
-The contract under test is the one the sweep engine relies on:
+The contract under test is the one the serving layer relies on:
 ``run_batch(requests)`` returns exactly ``[run_benchmark(r) for r in
 requests]`` result for result — whatever mix of benchmarks, schedulers,
-seeds and backends the batch contains, however requests are grouped per
-engine, and however cache hits interleave with executed requests.
+seeds and backends the batch contains, and however cache hits interleave
+with executed requests.
 """
 
 import pytest
@@ -119,7 +119,7 @@ def test_run_batch_failure_keeps_already_cached_results(tmp_path):
 
 
 def test_run_jobs_in_process_path_uses_batch_semantics():
-    """The sweep engine's worker-less path returns batch-equal results."""
+    """The sweep engine's worker-less path returns execute-equal results."""
     config = RunConfig(scale=0.02, seed=5)
     jobs = [
         SimulationRequest("ATAX", "gto", config),

@@ -24,6 +24,7 @@ from repro.api import (
     RunConfig,
     SimulationRequest,
     TenantSpec,
+    decode_request,
     execute,
 )
 from repro.harness.cache import ResultCache
@@ -36,7 +37,6 @@ from repro.serve import (
     ReproService,
     ServiceStats,
     canonical_json,
-    decode_request_payload,
 )
 
 SMALL = RunConfig(scale=0.02, seed=1)
@@ -524,18 +524,18 @@ class TestServiceStats:
 class TestRequestDecoding:
     def test_dispatches_both_kinds(self):
         single = SimulationRequest("ATAX", "gto", SMALL)
-        assert decode_request_payload(single.to_dict()) == single
+        assert decode_request(single.to_dict()) == single
         multi = MultiTenantRequest(
             tenants=(TenantSpec("a", "ATAX", "gto", sm_ids=(0,)),),
             run_config=SMALL,
         )
-        assert decode_request_payload(multi.to_dict()) == multi
+        assert decode_request(multi.to_dict()) == multi
 
     def test_rejects_unknown_kind_and_non_mapping(self):
         with pytest.raises(ValueError, match="kind"):
-            decode_request_payload({"kind": "Nope"})
+            decode_request({"kind": "Nope"})
         with pytest.raises(ValueError, match="object"):
-            decode_request_payload([1, 2, 3])
+            decode_request([1, 2, 3])
 
 
 class TestJobLifecycle:

@@ -106,6 +106,24 @@ def test_vector_matches_reference_on_geometry_and_budget():
     )
 
 
+@pytest.mark.parametrize("bench", ["SYRK", "KMN"])
+def test_vector_matches_reference_when_ccws_throttles_the_greedy_warp(bench):
+    """CCWS's periodic cutoff runs before the issue check, as in reference.
+
+    At this scale the cutoff throttles the greedy warp in the very cycle it
+    would issue a global load (SYRK: SM 0, cycle 15736, warp 46); the
+    fuzz suite's smaller scales never reach a throttle.
+    """
+    from repro.api import result_digest
+
+    config = RunConfig(scale=0.05, seed=1)
+    reference = execute(SimulationRequest(bench, "ccws", config, backend="reference"))
+    vector = _vector_result(bench, "ccws", config)
+    assert result_digest(_normalized(vector, backend_label="x")) == result_digest(
+        _normalized(reference, backend_label="x")
+    )
+
+
 def test_vector_matches_reference_with_wide_issue():
     """issue_width > 1 disables batching but must stay bit-identical."""
     config = RunConfig(
