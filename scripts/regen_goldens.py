@@ -9,6 +9,12 @@ bit-for-bit, so any perf work on the cycle engine that changes semantics
 (however subtly) fails loudly instead of silently drifting the paper's
 figures.
 
+Entries are computed on the reference semantics only: the serialized loop,
+and the lock-step loop over plain reference SMs (the oracle).  The
+production ``lockstep`` and ``vector`` engines replay traces on
+``VectorSM`` and are pinned *against* these fixtures, so they never
+produce them.
+
 Run from the repository root::
 
     PYTHONPATH=src python scripts/regen_goldens.py
@@ -32,8 +38,9 @@ from repro.api import (  # noqa: E402
     RunConfig,
     SimulationRequest,
     TenantSpec,
-    execute,
 )
+from repro.backends import materialize, materialize_tenants  # noqa: E402
+from repro.gpu.lockstep import run_lockstep, run_multi_tenant  # noqa: E402
 from repro.scenarios import load_promoted  # noqa: E402
 from repro.sched.registry import scheduler_names  # noqa: E402
 
@@ -126,15 +133,43 @@ def tenant_matrix() -> dict[str, MultiTenantRequest]:
     return entries
 
 
+def oracle_result(request):
+    """Simulate ``request`` on plain reference SMs (never ``VectorSM``).
+
+    ``materialize`` / ``materialize_tenants`` build the reference machine;
+    a ``reference`` case runs its serialized loop, a ``lockstep`` or
+    co-located case runs the lock-step loop over it.
+    """
+    if isinstance(request, MultiTenantRequest):
+        plans, gpu, config = materialize_tenants(request)
+        return run_multi_tenant(gpu, plans, max_cycles=config.max_cycles)
+    scheduler, kernel, gpu, config = materialize(request)
+    if request.backend == "lockstep":
+        return run_lockstep(
+            gpu, kernel, max_cycles=config.max_cycles, scheduler_name=scheduler
+        )
+    return gpu.run(kernel, max_cycles=config.max_cycles, scheduler_name=scheduler)
+
+
+def normalised(payload) -> dict:
+    """Round-trip through the JSON text form so the stored fixture and a
+    freshly computed result compare with plain ``==``."""
+    return json.loads(json.dumps(payload, sort_keys=True))
+
+
 def compute_entry(benchmark: str, scheduler: str, backend: str) -> dict:
     """Simulate one golden case and return its JSON-normalised result."""
     request = SimulationRequest(
         benchmark, scheduler, RunConfig(scale=SCALE, seed=SEED), backend=backend
     )
-    result = execute(request)
-    # Round-trip through the JSON text form so the stored fixture and a
-    # freshly computed result compare with plain ``==``.
-    return json.loads(json.dumps(result.to_dict(), sort_keys=True))
+    return normalised(oracle_result(request).to_dict())
+
+
+def compute_tenant_entry(request: MultiTenantRequest) -> dict:
+    """Simulate one co-location case; the entry pins request and result."""
+    return normalised(
+        {"request": request.to_dict(), "result": oracle_result(request).to_dict()}
+    )
 
 
 #: Engines golden fixtures may be generated from.  A deliberate literal —
@@ -194,13 +229,7 @@ def main() -> int:
     tenant_entries = {}
     for key, request in tenant_matrix().items():
         print(f"tenant golden: {key}", file=sys.stderr)
-        result = execute(request)
-        tenant_entries[key] = json.loads(
-            json.dumps(
-                {"request": request.to_dict(), "result": result.to_dict()},
-                sort_keys=True,
-            )
-        )
+        tenant_entries[key] = compute_tenant_entry(request)
     tenant_payload = {
         "_meta": {
             "scale": SCALE,

@@ -29,9 +29,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
-    # The core simulator is dependency-free; the numpy-batched `vector`
-    # execution engine is an optional extra (`pip install repro-ciao[vector]`).
-    # Importing repro without numpy keeps working — selecting the vector
-    # backend without it raises repro.backends.BackendUnavailableError.
-    extras_require={"vector": ["numpy>=1.24"]},
 )

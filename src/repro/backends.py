@@ -10,16 +10,20 @@ A *backend* turns a :class:`repro.api.SimulationRequest` into a
 ``lockstep``
     Cycle-by-cycle multi-SM execution (:func:`repro.gpu.lockstep.run_lockstep`):
     all SMs advance against one global clock, so simultaneous DRAM bursts
-    genuinely queue behind each other.  Bit-for-bit identical to
-    ``reference`` for single-SM runs.
+    genuinely queue behind each other.  The only engine that co-locates
+    tenants (:func:`repro.gpu.lockstep.run_multi_tenant`).  Its SMs are the
+    vector engine's trace-replaying :class:`~repro.gpu.vector.engine.VectorSM`;
+    the same loop over plain reference SMs is the test oracle.  Bit-for-bit
+    identical to ``reference`` for single-SM runs.
 ``vector``
-    The numpy-batched warp engine (:mod:`repro.gpu.vector`): workload
-    streams are extracted once into trace arrays and greedy warp stretches
-    issue in batched steps.  Bit-for-bit identical to ``reference`` (pinned
-    against the golden fixtures) at several times its throughput.  Requires
-    numpy (``pip install repro-ciao[vector]``); the engine is always
-    *registered*, but selecting it without numpy raises
-    :class:`BackendUnavailableError` (see :func:`backend_availability`).
+    The batched warp engine (:mod:`repro.gpu.vector`): workload streams are
+    extracted once into compact traces and greedy warp stretches issue in
+    batched steps.  Bit-for-bit identical to ``reference`` (pinned against
+    the golden fixtures) at several times its throughput.
+
+A registered engine may still be unable to run here: the ``chaos`` wrapper
+needs a configured fault plan, and selecting it without one raises
+:class:`BackendUnavailableError` (see :func:`backend_availability`).
 
 Selection precedence: an explicit ``backend=`` argument (or
 ``SimulationRequest.backend``) > the ``REPRO_BACKEND`` environment variable
@@ -29,12 +33,12 @@ Out-of-tree engines register through :func:`register_backend`::
 
     from repro.backends import register_backend
 
-    class VectorizedBackend:
-        name = "numpy"
+    class TracingBackend:
+        name = "tracing"
         def execute(self, request):
             ...
 
-    register_backend("numpy", VectorizedBackend)
+    register_backend("tracing", TracingBackend)
 """
 
 from __future__ import annotations
@@ -66,11 +70,11 @@ DEFAULT_BACKEND = "reference"
 
 
 class BackendUnavailableError(RuntimeError):
-    """A registered backend cannot run here (missing optional dependency).
+    """A registered backend cannot run here (e.g. chaos without a fault plan).
 
     Raised at *selection* time (:func:`get_backend`), not at import time:
     ``import repro`` always works, the registry always lists the backend,
-    and the error explains what to install to use it.
+    and the error explains what is missing.
     """
 
     def __init__(self, name: str, reason: str) -> None:
@@ -206,53 +210,54 @@ class ReferenceBackend:
 
 
 class LockstepBackend:
-    """Cycle-by-cycle multi-SM execution against the shared L2/DRAM."""
+    """Cycle-by-cycle multi-SM execution against the shared L2/DRAM.
+
+    Every SM replays a trace on the vector engine's SM: the interned kernel
+    trace for a single-kernel request, and for a co-located request one
+    trace per tenant, built for this job from the tenant's address-isolated
+    kernel and shared by the tenant's SMs.  :func:`materialize` /
+    :func:`materialize_tenants` give the same job on plain reference SMs,
+    which is the test oracle.
+    """
 
     name = "lockstep"
 
     def execute(self, request: "SimulationRequest") -> SimulationResult:
+        from repro.gpu.vector.backend import vector_machine
+        from repro.gpu.vector.engine import VectorGPU
+        from repro.gpu.vector.trace import KernelTrace
+
         if _is_multi_tenant(request):
-            plans, gpu, config = materialize_tenants(request)
+            plans, reference_gpu, config = materialize_tenants(request)
+            sm_traces = {}
+            for plan in plans:
+                sm_traces.update(dict.fromkeys(plan.sm_ids, KernelTrace(plan.kernel)))
+            gpu = VectorGPU(
+                reference_gpu.config,
+                scheduler_factory=reference_gpu.scheduler_factory,
+                dram_bandwidth_scale=config.dram_bandwidth_scale,
+                sm_traces=sm_traces,
+            )
             return run_multi_tenant(gpu, plans, max_cycles=config.max_cycles)
-        scheduler, kernel, gpu, config = materialize(request)
+        scheduler, kernel, gpu, config = vector_machine(request)
         return run_lockstep(
             gpu, kernel, max_cycles=config.max_cycles, scheduler_name=scheduler
         )
 
 
-def _load_vector_backend():
-    """Import hook for the numpy-gated engine (monkeypatched by tests)."""
+def _make_vector_backend():
+    """Instantiate the ``vector`` engine (its modules load on first use)."""
     from repro.gpu.vector.backend import VectorBackend
 
-    return VectorBackend
-
-
-#: Human instruction appended to the ``vector`` unavailability message.
-_VECTOR_INSTALL_HINT = "numpy is not installed (pip install 'repro-ciao[vector]')"
-
-
-def _make_vector_backend():
-    """Instantiate the ``vector`` engine, or explain why it cannot run."""
-    try:
-        backend_cls = _load_vector_backend()
-    except ImportError as exc:
-        # Distinguish "numpy absent" (the expected optional-extra case, with
-        # its install hint) from a numpy/package that exists but fails to
-        # import — pointing the latter at pip would mislead.
-        if getattr(exc, "name", None) == "numpy":
-            reason = _VECTOR_INSTALL_HINT
-        else:
-            reason = f"import failed: {exc}"
-        raise BackendUnavailableError("vector", reason) from exc
-    return backend_cls()
+    return VectorBackend()
 
 
 def _make_chaos_backend():
     """Instantiate the fault-injecting wrapper engine (needs an active plan).
 
     The ``chaos`` backend (:mod:`repro.harness.faults`) delegates to a real
-    engine but injects failures/hangs/crashes from a seeded schedule.  Like
-    ``vector`` it is always *registered*; selecting it without a configured
+    engine but injects failures/hangs/crashes from a seeded schedule.  It is
+    always *registered*; selecting it without a configured
     :class:`~repro.harness.faults.FaultPlan` raises
     :class:`BackendUnavailableError` explaining how to configure one, so
     ``repro list --backends`` reports it honestly instead of crashing.
@@ -278,7 +283,7 @@ def register_backend(name, factory, *, aliases=(), replace=False):
 
 register_backend("reference", ReferenceBackend, aliases=("serial", "serialized"))
 register_backend("lockstep", LockstepBackend, aliases=("lock-step", "lock_step"))
-register_backend("vector", _make_vector_backend, aliases=("numpy", "vectorized"))
+register_backend("vector", _make_vector_backend, aliases=("vectorized",))
 register_backend("chaos", _make_chaos_backend, aliases=("fault", "faults"))
 
 
@@ -301,7 +306,7 @@ def get_backend(name: Optional[str] = None) -> Backend:
     """Instantiate the backend selected by ``name`` / ``REPRO_BACKEND``.
 
     Raises :class:`BackendUnavailableError` when the engine is registered
-    but cannot run in this environment (e.g. ``vector`` without numpy).
+    but cannot run in this environment (e.g. ``chaos`` without a fault plan).
     """
     return _REGISTRY.get(resolve_backend_name(name))()
 

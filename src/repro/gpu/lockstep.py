@@ -18,6 +18,12 @@ when one SM is simulated: single-SM results are bit-for-bit identical
 between the two backends, which the test suite pins down
 (``tests/test_lockstep.py``).
 
+The drivers take whatever SMs the machine builds.  The ``lockstep``
+backend passes a :class:`~repro.gpu.vector.engine.VectorGPU`, whose SMs
+replay extracted traces over the pre-coalesced memory path; a plain
+:class:`~repro.gpu.gpu.GPU` runs reference SMs through the same loop and
+is the oracle the tests and the golden fixtures are computed on.
+
 :func:`run_multi_tenant` drives the same loop over a *partitioned* machine
 (:meth:`repro.gpu.gpu.GPU.build_partitioned_sms`): each tenant's kernel runs
 on its own SM subset while every SM contends for the shared L2/DRAM.

@@ -1,25 +1,25 @@
-"""``repro.gpu.vector`` — the numpy-batched execution engine.
+"""``repro.gpu.vector`` — the trace-replaying, batch-issuing execution engine.
 
 This package implements the ``vector`` backend (see
-:mod:`repro.gpu.vector.backend`): a third in-tree execution engine that is
-bit-identical to ``reference`` but replaces the hottest per-warp/per-cycle
-bookkeeping with precomputed numpy array kernels:
+:mod:`repro.gpu.vector.backend`) and the SMs of the ``lockstep`` backend: an
+execution engine that is bit-identical to ``reference`` but replaces the
+hottest per-warp/per-cycle bookkeeping with tables precomputed once per
+kernel, in pure stdlib Python:
 
 * :mod:`repro.gpu.vector.trace` — workload instruction streams are
-  *extracted once* per kernel identity into parallel arrays (instruction
-  kinds, latency-1 ALU run lengths, coalesced block lists in CSR form, and
-  per-geometry L1D set indices computed with a vectorised XOR fold), then
-  interned so every request for the same kernel replays the same arrays.
+  *extracted once* per kernel identity into compact tables (instruction
+  kinds, latency-1 ALU run ends, pre-coalesced blocks per global access,
+  and per-geometry set indices), then interned so every request for the
+  same kernel replays the same tables.
 * :mod:`repro.gpu.vector.engine` — :class:`VectorSM` drives the same warp
   list, schedulers, caches and memory subsystem as the reference SM, but
-  issues uninterrupted single-warp instruction runs in one batched step
-  (exact under the schedulers' declared ``vector_sticky_select``
-  capability), fast-forwards stall stretches with one min-reduction over
-  the warp timers, and runs the global-memory path against the
-  pre-coalesced, pre-hashed transaction arrays.
-
-The package imports numpy at module load; callers gate on availability
-through :func:`repro.backends.get_backend` (``pip install repro-ciao[vector]``).
+  replays the trace, runs the global-memory path against the pre-coalesced,
+  pre-hashed transactions and skips selection while the greedy warp can
+  issue.  Driven serially it also issues uninterrupted single-warp
+  instruction runs in one batched step (exact under the schedulers'
+  declared ``vector_sticky_select`` capability) and fast-forwards stall
+  stretches with one min-reduction over the warp timers; driven by the
+  lock-step loop (:mod:`repro.gpu.lockstep`) it steps one cycle at a time.
 """
 
 from repro.gpu.vector.backend import VectorBackend

@@ -23,13 +23,13 @@ changes is how much Python runs per simulated cycle:
   instruction, and the time series is sampled at the exact crossing
   instruction and cycle.
 * **Pre-coalesced memory path.**  Global memory instructions replay the
-  trace's transaction CSR: the coalescer's dictionary dedup and the
-  per-probe set-index hash are replaced by array lookups computed once per
+  trace's pre-coalesced blocks: the coalescer's dictionary dedup and the
+  per-probe set-index hash are replaced by table lookups computed once per
   kernel x geometry (:meth:`~repro.gpu.vector.trace.WarpTrace.sets_for_geometry`),
   the L1D hit path is a fused probe that touches the same tag lines and
   counters as ``Cache.access`` without its layered dispatch, and the miss
   path runs a fused interconnect → L2 → DRAM walk with the L2 set index
-  precomputed by the same vectorised hash.  Scratchpad instructions replay
+  precomputed by the same hash.  Scratchpad instructions replay
   bank-conflict costs precomputed per CTA allocation
   (:meth:`~repro.gpu.vector.trace.WarpTrace.shared_costs_for`).
 * **Batched stall fast-forward.**  When nothing can issue, no memory event
@@ -40,6 +40,14 @@ changes is how much Python runs per simulated cycle:
 Schedulers that do not declare the sticky capability (LRR's rotation,
 statPCAL's token preference) run through the inherited cycle-by-cycle path
 and remain exact.
+
+The batched stretches and the stall fast-forward live in :meth:`VectorSM.run`
+(the serialized ``vector`` engine).  The ``lockstep`` engine drives the same
+SMs through the inherited stepping primitives instead (``step_cycle`` and
+friends, one global cycle at a time), so its SMs keep trace replay, the
+pre-coalesced memory path and the greedy-select fast path of
+:meth:`VectorSM._issue_cycle`.  A finished SM releases its trace tables
+(:meth:`VectorSM.finalize`).
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import replace
 from itertools import islice
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.gpu.cta import KernelLaunch
 from repro.gpu.gpu import GPU, SimulationResult
@@ -281,6 +289,20 @@ class VectorSM(StreamingMultiprocessor):
             self._greedy_warp = None
         super()._retire_warp(warp, now)
 
+    def finalize(self, now: int) -> SMStats:
+        stats = super().finalize(now)
+        # A finished SM lets go of its job's traces.  The SM sits in a
+        # reference cycle with its scheduler, so without this the tables and
+        # the replay closure (inside ``_kernel``) would live on until the
+        # cyclic garbage collector ran.
+        self._kernel_trace = None
+        self._kernel = None
+        self._traces.clear()
+        self._mem_sets.clear()
+        self._mem_sets_l2.clear()
+        self._shared_costs.clear()
+        return stats
+
     # ------------------------------------------------------------------
     # Batched greedy-stretch issue
     # ------------------------------------------------------------------
@@ -322,7 +344,7 @@ class VectorSM(StreamingMultiprocessor):
         notify_due = notify_due_fn() if notify_due_fn is not None else None
         sticky_end = trace.sticky_end
         kind_codes = trace.kind_codes
-        mem_index = trace.mem_index
+        access_index = trace.access_index
         instructions = trace.instructions
         stats = self.stats
         per_warp = stats.per_warp_instructions
@@ -444,7 +466,7 @@ class VectorSM(StreamingMultiprocessor):
             self.cycle = now
             if kind_code == _C_LOAD or kind_code == _C_STORE:
                 ok = self._execute_global_traced(
-                    warp, trace, mem_index[i], instruction, now
+                    warp, trace, access_index[i], instruction, now
                 )
             elif kind_code == _C_SHARED_LOAD or kind_code == _C_SHARED_STORE:
                 ok = self._execute_scratchpad(warp, instruction, now)
@@ -529,7 +551,7 @@ class VectorSM(StreamingMultiprocessor):
         if trace is None:
             return super()._execute_global(warp, instruction, now)
         index = warp.instructions_issued
-        mem_ix = trace.mem_index[index]
+        mem_ix = trace.access_index[index]
         if mem_ix < 0 or trace.instructions[index] is not instruction:
             # Replay desync (e.g. a test hand-fed this SM a foreign stream):
             # fall back to the reference path rather than guess.
@@ -835,7 +857,7 @@ class VectorSM(StreamingMultiprocessor):
         if costs is None or trace is None:
             return super()._execute_scratchpad(warp, instruction, now)
         index = warp.instructions_issued
-        shared_ix = trace.shared_index[index]
+        shared_ix = trace.access_index[index]
         if shared_ix < 0 or trace.instructions[index] is not instruction:
             return super()._execute_scratchpad(warp, instruction, now)
         cycles, rows = costs[shared_ix]
@@ -885,13 +907,21 @@ class VectorSM(StreamingMultiprocessor):
 
 
 class VectorGPU(GPU):
-    """A :class:`GPU` whose SMs are :class:`VectorSM` replaying one trace."""
+    """A :class:`GPU` whose SMs are :class:`VectorSM` replaying traces.
+
+    ``sm_traces`` maps the id of every SM the machine builds to the
+    :class:`KernelTrace` that SM replays: one shared trace for a
+    single-kernel launch, each tenant's own trace on its partition for a
+    co-located one.  The machine drives its SMs serially (:meth:`run`, the
+    ``vector`` engine) or in lock step (:func:`repro.gpu.lockstep.run_lockstep`
+    / :func:`~repro.gpu.lockstep.run_multi_tenant`, the ``lockstep`` engine).
+    """
 
     sm_class = VectorSM
 
-    def __init__(self, *args, kernel_trace: Optional[KernelTrace] = None, **kwargs):
+    def __init__(self, *args, sm_traces: Mapping[int, KernelTrace], **kwargs):
         super().__init__(*args, **kwargs)
-        self._kernel_trace = kernel_trace
+        self._sm_traces = sm_traces
 
     def _new_sm(self, sm_id, scheduler, *, enable_shared_cache):
         return VectorSM(
@@ -900,7 +930,7 @@ class VectorGPU(GPU):
             self.memory,
             scheduler,
             enable_shared_cache=enable_shared_cache,
-            kernel_trace=self._kernel_trace,
+            kernel_trace=self._sm_traces[sm_id],
         )
 
     def run(

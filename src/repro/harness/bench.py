@@ -117,15 +117,12 @@ def bench_matrix(
         for s in schedulers
     ]
     if quick and pinned:
-        # Perf-gate the vector engine whenever it can run here (numpy
-        # present): one smoke case rides along in the pinned quick matrix
-        # so CI holds the batched engine to its committed floor.
-        from repro.backends import backend_availability, resolve_backend_name
+        # Perf-gate the vector engine: one smoke case rides along in the
+        # pinned quick matrix so CI holds the batched engine to its
+        # committed floor.
+        from repro.backends import resolve_backend_name
 
-        if (
-            resolve_backend_name(backend) != "vector"
-            and backend_availability().get("vector") is None
-        ):
+        if resolve_backend_name(backend) != "vector":
             cases.append(
                 BenchCase(
                     benchmark=QUICK_BENCHMARKS[0],

@@ -39,19 +39,30 @@ class TwoLevelScheduler(WarpScheduler):
         self._active_group = 0
         self._last_wid: Optional[int] = None
 
-    def _group_of(self, warp: Warp) -> int:
-        return warp.wid // self.group_size
-
     def select(self, issuable: Sequence[Warp], now: int) -> Optional[Warp]:
-        """Issue from the active fetch group; rotate groups when it is empty."""
+        """Issue from the active fetch group; rotate groups when it is empty.
+
+        One pass over ``issuable`` finds whether the active group is present
+        and, in case it is not, both the next later group (round-robin
+        successor) and the smallest group (wrap-around).
+        """
         if not issuable:
             return None
-        groups = sorted({self._group_of(w) for w in issuable})
-        if self._active_group not in groups:
-            # Switch to the next group in round-robin order.
-            later = [g for g in groups if g > self._active_group]
-            self._active_group = later[0] if later else groups[0]
-        candidates = [w for w in issuable if self._group_of(w) == self._active_group]
+        size = self.group_size
+        active = self._active_group
+        later = smallest = None
+        for warp in issuable:
+            group = warp.wid // size
+            if group == active:
+                break
+            if group > active and (later is None or group < later):
+                later = group
+            if smallest is None or group < smallest:
+                smallest = group
+        else:
+            # The active group has no issuable warp: switch to the next group.
+            active = self._active_group = later if later is not None else smallest
+        candidates = [w for w in issuable if w.wid // size == active]
         return self.greedy_then_oldest(candidates, self._last_wid)
 
     def notify_issue(self, warp: Warp, instruction: Instruction, now: int) -> None:

@@ -18,15 +18,8 @@ from hypothesis import strategies as st
 
 from repro.api import MultiTenantRequest, RunConfig, SimulationRequest, TenantSpec
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - CI installs numpy
-    HAVE_NUMPY = False
-
-#: Engines a single-kernel request may pin (vector only when numpy exists).
-SINGLE_KERNEL_BACKENDS = ("reference", "vector") if HAVE_NUMPY else ("reference",)
+#: Engines a single-kernel request may pin.
+SINGLE_KERNEL_BACKENDS = ("reference", "vector")
 
 #: Small benchmark/scheduler pools covering the main workload classes
 #: (LWS thrasher, SWS, irregular MapReduce) and scheduler mechanisms.

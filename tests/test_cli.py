@@ -39,34 +39,21 @@ class TestCommands:
         out = capsys.readouterr().out
         for name in ("reference", "lockstep", "vector", "chaos"):
             assert name in out
+        # The real engines are always available.
+        core = [line for line in out.splitlines()
+                if not line.startswith("chaos")]
+        assert all("unavailable" not in line for line in core)
+
+    def test_list_backends_flags_unavailable_engines(self, capsys):
+        assert main(["list", "--backends"]) == 0
+        out = capsys.readouterr().out
         # The chaos wrapper is *expected* to be unavailable until a fault
         # plan is configured; its listing must say so and point at the knob.
         assert "chaos (unavailable:" in out and "fault plan" in out
-        # The core engines are always available; vector is flagged if and
-        # only if numpy is missing (some CI legs run without it on purpose).
-        core = [line for line in out.splitlines()
-                if not line.startswith("chaos")]
-        try:
-            import numpy  # noqa: F401
-
-            assert all("unavailable" not in line for line in core)
-        except ImportError:
-            assert "vector (unavailable:" in out
-
-    def test_list_backends_flags_unavailable_engines(self, capsys, monkeypatch):
-        import repro.backends as backends
-
-        def missing():
-            raise ImportError("No module named 'numpy'")
-
-        monkeypatch.setattr(backends, "_load_vector_backend", missing)
-        assert main(["list", "--backends"]) == 0
-        out = capsys.readouterr().out
-        assert "vector (unavailable:" in out and "numpy" in out
         # Selecting the unavailable engine fails cleanly, not with a traceback.
-        rc = main(["run", "ATAX", "gto", "--scale", "0.02", "--backend", "vector"])
+        rc = main(["run", "ATAX", "gto", "--scale", "0.02", "--backend", "chaos"])
         assert rc == 2
-        assert "numpy" in capsys.readouterr().err
+        assert "fault plan" in capsys.readouterr().err
 
     def test_run_json(self, capsys):
         rc = main(["run", "ATAX", "gto", "ciao_c",

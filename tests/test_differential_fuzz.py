@@ -3,32 +3,41 @@
 Hypothesis generates small single-kernel requests and runs each through
 every in-tree engine — ``reference`` (serialized), ``lockstep``
 (cycle-accurate multi-SM, here on the single-kernel path) and ``vector``
-(numpy-batched, silently excluded when numpy is absent).  The results must
+(trace-replaying, batch-issuing).  The results must
 be bit-identical after blanking the backend label: that is the repo's
 cross-engine parity contract, here probed over the whole request space
 instead of the pinned golden matrix.
 
+Co-located requests get the same treatment against the lock-step oracle:
+the production ``lockstep`` engine replays tenant traces on ``VectorSM``,
+the oracle runs the same lock-step loop over plain reference SMs, and every
+generated scenario, isolated baselines included, must digest identically.
+
 Example depth is controlled by the hypothesis profile in the root
 ``conftest.py`` (``ci``: 60 derandomized examples; ``deep``: 600, selected
-with ``HYPOTHESIS_PROFILE=deep``), so this file deliberately sets no
-``max_examples`` of its own.
+with ``HYPOTHESIS_PROFILE=deep``).  A co-located example runs several jobs
+on two engines, so its test draws a sixth of the profile's examples.
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from strategies import (
     FUZZ_BENCHMARKS,
     FUZZ_SCHEDULERS,
-    HAVE_NUMPY,
     result_dicts,
     simulation_requests,
     strip_backend,
 )
 
-from repro.api import execute
+from repro.api import execute, result_digest
+from repro.backends import materialize_tenants
+from repro.gpu.lockstep import run_multi_tenant
+from repro.scenarios.generator import generate_scenario
 
-ENGINES = ("reference", "lockstep") + (("vector",) if HAVE_NUMPY else ())
+ENGINES = ("reference", "lockstep", "vector")
 
 
 @settings(deadline=None)
@@ -50,9 +59,49 @@ def test_engines_agree_bit_for_bit(request):
         )
 
 
-def test_vector_engine_participates_when_numpy_present():
-    """Guard: the fuzz above really covers three engines on a full install."""
-    if not HAVE_NUMPY:
-        assert ENGINES == ("reference", "lockstep")
-    else:
-        assert "vector" in ENGINES
+# ---------------------------------------------------------------------------
+# Co-located requests: production lockstep == the lock-step oracle
+# ---------------------------------------------------------------------------
+#: Generated ``(seed, index)`` scenarios that together cover simultaneous
+#: and staggered launches and two-level and ciao-c tenants.
+PINNED_SCENARIOS = ((1, 0), (1, 2), (2, 1), (3, 4))
+
+
+def _scenario(seed, index):
+    return generate_scenario(seed, index, scale=0.02, max_sms=4)
+
+
+def _oracle(request):
+    """The co-located job on plain reference SMs, driven in lock step."""
+    plans, gpu, config = materialize_tenants(request)
+    return run_multi_tenant(gpu, plans, max_cycles=config.max_cycles)
+
+
+def _assert_lockstep_matches_oracle(scenario):
+    request = scenario.request()
+    jobs = (request, *(request.isolated_request(t.name) for t in request.tenants))
+    for job in jobs:
+        production = result_digest(execute(job).to_dict())
+        assert production == result_digest(_oracle(job).to_dict()), (
+            f"lockstep diverged from the oracle on {scenario.name} "
+            f"({job.benchmark_name}, tenants {[t.name for t in job.tenants]})"
+        )
+
+
+def test_pinned_scenarios_cover_the_tenant_paths():
+    requests = [_scenario(*pinned).request() for pinned in PINNED_SCENARIOS]
+    schedulers = {t.scheduler for r in requests for t in r.tenants}
+    assert {"two-level", "ciao-c"} <= schedulers
+    staggered = {any(t.launch_cycle for t in r.tenants) for r in requests}
+    assert staggered == {True, False}
+
+
+@pytest.mark.parametrize("seed,index", PINNED_SCENARIOS)
+def test_lockstep_matches_oracle_on_pinned_scenarios(seed, index):
+    _assert_lockstep_matches_oracle(_scenario(seed, index))
+
+
+@settings(deadline=None, max_examples=max(1, settings.default.max_examples // 6))
+@given(seed=st.integers(min_value=1, max_value=10_000), index=st.integers(0, 20))
+def test_lockstep_matches_oracle_on_generated_scenarios(seed, index):
+    _assert_lockstep_matches_oracle(_scenario(seed, index))

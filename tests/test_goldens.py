@@ -40,11 +40,15 @@ TENANT_GOLDEN = json.loads(TENANT_GOLDEN_PATH.read_text())
 def test_regen_script_refuses_vector_source(monkeypatch):
     """Goldens are sourced from reference semantics, never from vector.
 
-    The vector engine's contract is to *match* these fixtures, so
-    regenerating them from it would make the parity gate circular; the
-    regen script refuses outright.
+    The vector engine's SM (``VectorSM``, which the production ``lockstep``
+    engine runs on too) is pinned *against* these fixtures, so regenerating
+    them from it would make the parity gate circular: the regen script
+    refuses a vector source outright and computes every entry on plain
+    reference SMs.
     """
     import importlib.util
+
+    from repro.gpu.vector.engine import VectorSM
 
     script = Path(__file__).parent.parent / "scripts" / "regen_goldens.py"
     spec = importlib.util.spec_from_file_location("_regen_goldens_test", script)
@@ -55,6 +59,16 @@ def test_regen_script_refuses_vector_source(monkeypatch):
         module._refuse_vector_source()
     monkeypatch.delenv("REPRO_BACKEND")
     module._refuse_vector_source()  # the reference default is allowed
+
+    def no_vector_sm(self, *args, **kwargs):
+        raise AssertionError("golden regeneration constructed a VectorSM")
+
+    monkeypatch.setattr(VectorSM, "__init__", no_vector_sm)
+    for key in ("ATAX/gto/lockstep", "ATAX/gto/reference"):
+        assert module.compute_entry(*key.split("/")) == GOLDEN["entries"][key]
+    key = "sym-atax"
+    request = module.tenant_matrix()[key]
+    assert module.compute_tenant_entry(request) == TENANT_GOLDEN["entries"][key]
 
 
 def test_golden_file_metadata():

@@ -171,6 +171,43 @@ class TestMultiTenantParity:
         assert result.machine.cycles == thrash.finish_cycle
 
 
+class TestTraceRelease:
+    def test_tenant_traces_die_with_the_job(self, monkeypatch):
+        """A job's tenant traces are freed when ``execute`` returns.
+
+        Each SM sits in a reference cycle with its scheduler, so only the
+        finished SMs dropping their trace tables lets plain reference
+        counting free the traces; the cyclic collector is kept off.
+        """
+        import gc
+        import weakref
+
+        from repro.gpu.vector.trace import KernelTrace
+
+        built = []
+        init = KernelTrace.__init__
+
+        def recording_init(self, kernel):
+            init(self, kernel)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(KernelTrace, "__init__", recording_init)
+        request = MultiTenantRequest(
+            tenants=(
+                TenantSpec("a", "ATAX", "gto", (0, 1), address_space=1),
+                TenantSpec("b", "SYRK", "ciao-c", (2,), address_space=2),
+            ),
+            run_config=RunConfig(**SMALL),
+        )
+        gc.disable()
+        try:
+            execute(request)
+            assert len(built) == len(request.tenants)
+            assert [ref() for ref in built] == [None] * len(built)
+        finally:
+            gc.enable()
+
+
 class TestEngineIntegration:
     def test_sweep_engine_runs_lockstep_jobs(self):
         jobs = [

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import (
-    HAVE_NUMPY,
     result_dicts as _dicts,
     simulation_requests,
     strip_backend as _strip_backend,
@@ -69,8 +68,6 @@ def test_run_batch_with_cache_hit_interleavings(tmp_path_factory, requests, warm
 
 def test_run_batch_mixes_backends_in_one_call():
     """One batch spanning engines returns per-engine-correct results."""
-    if not HAVE_NUMPY:
-        pytest.skip("vector backend needs numpy")
     config = RunConfig(scale=0.02, seed=2)
     requests = [
         SimulationRequest("ATAX", "gto", config, backend="reference"),
@@ -85,8 +82,6 @@ def test_run_batch_mixes_backends_in_one_call():
 
 
 def test_run_batch_backend_argument_fills_unpinned_requests():
-    if not HAVE_NUMPY:
-        pytest.skip("vector backend needs numpy")
     config = RunConfig(scale=0.02)
     unpinned = SimulationRequest("ATAX", "gto", config)
     pinned = SimulationRequest("ATAX", "gto", config, backend="reference")

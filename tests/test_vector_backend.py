@@ -8,17 +8,15 @@ cases cover the configurations the fixtures do not: Figure 12 machine
 variants, launch-geometry overrides, multi-SM machines, cycle-budget
 truncation and non-unit issue width (which disables batching entirely).
 
-Availability is registry-level: ``import repro`` and ``repro list`` work
-without numpy, and only *selecting* the engine raises
-:class:`repro.backends.BackendUnavailableError`.
+Availability is registry-level: an engine that cannot run here (the
+``chaos`` wrapper without a fault plan) is still listed, and only
+*selecting* it raises :class:`repro.backends.BackendUnavailableError`.
 """
 
 import json
 from pathlib import Path
 
 import pytest
-
-np = pytest.importorskip("numpy")  # the engine under test needs numpy
 
 from repro.api import RunConfig, SimulationRequest, execute
 from repro.backends import (
@@ -147,7 +145,6 @@ def test_vector_result_carries_engine_label():
 # ---------------------------------------------------------------------------
 def test_vector_is_registered_with_aliases():
     assert "vector" in backend_names()
-    assert resolve_backend_name("numpy") == "vector"
     assert resolve_backend_name("vectorized") == "vector"
     assert get_backend("vector").name == "vector"
 
@@ -155,33 +152,53 @@ def test_vector_is_registered_with_aliases():
 def test_backend_availability_reports_all_engines():
     availability = backend_availability()
     assert set(availability) == set(backend_names())
-    # numpy is installed in the test environment: every real engine is
-    # available.  The chaos wrapper is the deliberate exception — it is
-    # unavailable (with a configuration hint) until a fault plan is active.
+    # Every real engine is available.  The chaos wrapper is the deliberate
+    # exception — it is unavailable (with a configuration hint) until a
+    # fault plan is active.
     assert availability["chaos"] is not None and "fault plan" in availability["chaos"]
     assert all(reason is None
                for name, reason in availability.items() if name != "chaos")
 
 
-def test_vector_unavailable_without_numpy(monkeypatch):
-    """Selection (not registration) fails with a clear installation hint."""
-    import repro.backends as backends
-
-    def missing():
-        raise ImportError("No module named 'numpy'")
-
-    monkeypatch.setattr(backends, "_load_vector_backend", missing)
+def test_unconfigured_backend_is_listed_but_not_selectable():
+    """Selection (not registration) fails with a clear configuration hint."""
     # The registry still lists and resolves the name...
-    assert "vector" in backend_names()
-    assert resolve_backend_name("vector") == "vector"
+    assert "chaos" in backend_names()
+    assert resolve_backend_name("chaos") == "chaos"
     # ...availability explains the gap...
-    reason = backend_availability()["vector"]
-    assert reason is not None and "numpy" in reason
+    reason = backend_availability()["chaos"]
+    assert reason is not None and "fault plan" in reason
     # ...and only selection raises, with the hint in the message.
-    with pytest.raises(BackendUnavailableError, match="numpy"):
-        get_backend("vector")
+    with pytest.raises(BackendUnavailableError, match="fault plan"):
+        get_backend("chaos")
     with pytest.raises(BackendUnavailableError):
-        execute(SimulationRequest("ATAX", "gto", RunConfig(scale=0.02), backend="vector"))
+        execute(SimulationRequest("ATAX", "gto", RunConfig(scale=0.02), backend="chaos"))
+
+
+def test_engines_never_import_numpy():
+    """A vector job and a co-located lockstep job leave numpy unimported."""
+    import os
+    import subprocess
+    import sys
+
+    code = "\n".join([
+        "import sys",
+        "from repro.api import (MultiTenantRequest, RunConfig,",
+        "    SimulationRequest, TenantSpec, execute)",
+        "config = RunConfig(scale=0.02)",
+        "execute(SimulationRequest('ATAX', 'gto', config, backend='vector'))",
+        "execute(MultiTenantRequest(tenants=(",
+        "    TenantSpec('a', 'ATAX', 'gto', (0,), address_space=1),",
+        "    TenantSpec('b', 'SYRK', 'ccws', (1,), address_space=2),",
+        "), run_config=config))",
+        "assert 'numpy' not in sys.modules, 'an engine imported numpy'",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 def test_vector_rejects_multi_tenant_requests():
