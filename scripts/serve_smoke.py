@@ -10,7 +10,9 @@ Boots ``repro serve`` as a real subprocess on an ephemeral port, then:
 3. asserts the ``/stats`` books reconcile
    (hits + coalesced + executed == requests served);
 4. exercises graceful shutdown: ``POST /shutdown`` must drain and exit 0
-   with the final "drained:" summary on stdout.
+   with the final "drained:" summary on stdout;
+5. boots ``repro serve`` and ``repro worker`` once more and sends each
+   SIGTERM the moment it announces: both must drain the same way.
 
 Standalone and stdlib-only, usable without installing the package::
 
@@ -25,6 +27,7 @@ import http.client
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -59,38 +62,54 @@ def request(port: int, method: str, path: str, body: bytes | None = None):
         conn.close()
 
 
-def main() -> int:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    # The generous linger guarantees the duplicate pair overlaps in flight,
-    # so the second request *must* coalesce rather than racing a cache hit.
-    server = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--no-cache", "--linger", "0.5", "--workers", "1",
-        ],
+def boot(env: dict, *argv: str) -> tuple[subprocess.Popen, int]:
+    """Start ``repro ARGV`` and return it with the port it announces."""
+    name = argv[0]
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", *argv],
         cwd=ROOT,
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
     )
-
-    # Parse the announce line for the ephemeral port.
-    port = None
     deadline = time.monotonic() + STARTUP_TIMEOUT
-    assert server.stdout is not None
+    assert process.stdout is not None
     while time.monotonic() < deadline:
-        line = server.stdout.readline()
+        line = process.stdout.readline()
         if not line:
-            fail(f"server exited early (rc={server.poll()})", server)
-        print(f"[serve] {line.rstrip()}")
+            fail(f"{name} exited early (rc={process.poll()})", process)
+        print(f"[{name}] {line.rstrip()}")
         match = re.search(r"listening on http://[^:]+:(\d+)", line)
         if match:
-            port = int(match.group(1))
-            break
-    if port is None:
-        fail("server never announced its port", server)
+            return process, int(match.group(1))
+    fail(f"{name} never announced its port", process)
+
+
+def expect_drained(process: subprocess.Popen, name: str, cause: str) -> None:
+    """Require a clean exit: code 0 and the final "drained:" summary."""
+    try:
+        rc = process.wait(timeout=SHUTDOWN_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        fail(f"{name} did not exit after {cause}", process)
+    tail = process.stdout.read() or ""
+    for line in tail.splitlines():
+        print(f"[{name}] {line}")
+    if rc != 0:
+        fail(f"{name} exited rc={rc} after {cause}", process)
+    if "drained:" not in tail:
+        fail(f"{name} never printed its drain summary after {cause}", process)
+
+
+def main() -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    # The generous linger guarantees the duplicate pair overlaps in flight,
+    # so the second request *must* coalesce rather than racing a cache hit.
+    server, port = boot(
+        env, "serve", "--port", "0", "--no-cache", "--linger", "0.5",
+        "--workers", "1",
+    )
 
     status, _, _ = request(port, "GET", "/healthz")
     if status != 200:
@@ -160,18 +179,15 @@ def main() -> int:
     status, _, body = request(port, "POST", "/shutdown", b"")
     if status != 200:
         fail(f"/shutdown answered {status}: {body[:200]!r}", server)
-    try:
-        rc = server.wait(timeout=SHUTDOWN_TIMEOUT)
-    except subprocess.TimeoutExpired:
-        fail("server did not exit after /shutdown", server)
-    tail = server.stdout.read() or ""
-    for line in tail.splitlines():
-        print(f"[serve] {line}")
-    if rc != 0:
-        fail(f"server exited rc={rc} after graceful drain", server)
-    if "drained:" not in tail:
-        fail("server never printed its drain summary", server)
+    expect_drained(server, "serve", "/shutdown")
     print("graceful shutdown ok")
+
+    # -- 5. SIGTERM right at readiness drains both daemons --------------
+    for name in ("serve", "worker"):
+        daemon, _ = boot(env, name, "--port", "0", "--no-cache")
+        daemon.send_signal(signal.SIGTERM)
+        expect_drained(daemon, name, "SIGTERM")
+        print(f"{name}: SIGTERM drain ok")
     print("SERVE SMOKE PASSED")
     return 0
 

@@ -770,70 +770,34 @@ def execute(request: AnyRequest):
     return get_backend(request.resolved_backend()).execute(request)
 
 
-class BatchExecutionError(RuntimeError):
-    """One request of a :func:`run_batch` call failed; carries the request.
+def run_batch(requests, *, cache=None, retry=None):
+    """Execute ``requests`` through the sweep core and return its outcome.
 
-    The message names the request's content-addressed ``cache_key()`` and
-    resolved backend so service-side failures (`repro serve` logs, CI
-    output) are attributable to one exact job without the request object in
-    hand.  Both fields degrade gracefully: the very error being reported may
-    be an unknown benchmark or backend, in which case they are unavailable.
+    The serving layer's batch unit (:class:`repro.serve.queue.BatchQueue`).
+    The batch is planned and settled by the sweep books and run by the
+    in-process attempt loop of :mod:`repro.harness.parallel`, so each
+    request is retried on its own under ``retry`` (one attempt when
+    ``None``) and a failing request never re-runs its neighbours.  Engines
+    that intern per-kernel state (the ``vector`` backend's extracted traces)
+    keep it process-wide, so a batch over one kernel still pays setup once.
+
+    ``cache`` is an optional :class:`repro.harness.cache.ResultCache`: each
+    request keeps its own content-addressed key, hits are returned without
+    simulating, and misses are written back as each result completes.  No
+    manifest or ledger row is written.
+
+    Returns a :class:`repro.harness.parallel.SweepOutcome`: ``results``
+    holds each request's result, or a
+    :class:`~repro.harness.parallel.JobFailure` naming why it failed, in
+    submission order, and ``attempts`` the executions each one consumed.
     """
+    from repro.harness.parallel import RetryPolicy, _run_inprocess, _Sweep
 
-    def __init__(self, request: AnyRequest, cause: BaseException) -> None:
-        try:
-            backend = request.resolved_backend()
-        except Exception:
-            backend = request.backend or "?"
-        try:
-            cache_key = request.cache_key()
-        except Exception:
-            cache_key = "unavailable"
-        super().__init__(
-            f"batch request failed: benchmark={request.benchmark_name!r} "
-            f"scheduler={request.scheduler!r} backend={backend!r} "
-            f"cache_key={cache_key} ({type(cause).__name__}: {cause})"
-        )
-        self.request = request
-
-
-def run_batch(requests, *, backend: Optional[str] = None, cache=None):
-    """Execute ``requests`` and return their results in submission order.
-
-    A plain per-request loop over :func:`execute` — the serving layer's
-    batch unit (:class:`repro.serve.queue.BatchQueue`).  Engines that intern
-    per-kernel state (the ``vector`` backend's extracted traces) keep it
-    process-wide, so a batch over one kernel still pays setup once.
-
-    ``backend`` fills in the engine for requests that left theirs ``None``
-    (multi-tenant requests keep their ``lockstep`` default).  ``cache`` is
-    an optional :class:`repro.harness.cache.ResultCache`: each request keeps
-    its own content-addressed key — hits are returned without simulating,
-    misses are written back *as each result completes*, so a failure later
-    in the batch never discards already-simulated work.
-
-    Failures raise :class:`BatchExecutionError` naming the offending
-    request.
-    """
-    results = []
-    for request in requests:
-        if (
-            backend is not None
-            and request.backend is None
-            and not isinstance(request, MultiTenantRequest)
-        ):
-            request = replace(request, backend=backend)
-        try:
-            key = request.cache_key() if cache is not None else None
-            result = _decode_cached_result(cache.get(key)) if key else None
-            if result is None:
-                result = execute(request)
-                if key is not None:
-                    cache.put(key, result.to_dict())
-        except Exception as exc:
-            raise BatchExecutionError(request, exc) from exc
-        results.append(result)
-    return results
+    books = _Sweep(requests, cache=cache, backend=None, on_error="skip",
+                   manifest=None)
+    policy = retry if retry is not None else RetryPolicy(max_attempts=1)
+    _run_inprocess(books, policy, policy.max_attempts)
+    return books.outcome()
 
 
 def _decode_cached_result(payload: Any):

@@ -1547,8 +1547,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "fails its jobs with BatchTimeoutError and its "
                               "worker thread is abandoned (default: none)")
     p_serve.add_argument("--retry-max", type=int, default=1, metavar="N",
-                         help="attempts per dispatched batch, with seeded "
-                              "backoff between them (default 1 = no retry)")
+                         help="attempts per request, with seeded backoff "
+                              "between them (default 1 = no retry)")
     p_serve.add_argument("--max-queue-depth", type=int, default=None,
                          metavar="N",
                          help="load-shedding threshold: new leader requests "

@@ -1,8 +1,8 @@
 """Circuit breakers with seeded half-open probing.
 
 Replaces the coordinator's permanent ``fleet.dead`` blacklist (a worker
-that ever faltered could never rejoin) and gives the serve layer's
-:class:`~repro.serve.queue.BatchQueue` the same protection per backend.
+that ever faltered could never rejoin): each roster worker of a
+distributed sweep sits behind one.
 
 State machine (docs/RESILIENCE.md has the operator's view):
 
@@ -37,10 +37,6 @@ from repro.harness.faults import _unit_draw
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
-
-
-class CircuitOpenError(RuntimeError):
-    """The target's circuit is open; the call was refused, not attempted."""
 
 
 class CircuitBreaker:

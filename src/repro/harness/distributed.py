@@ -7,7 +7,7 @@ through the same sweep books, so a remote sweep fails and checkpoints
 exactly like a local one.  The module wires two pieces together:
 
 * **Workers** (:class:`WorkerServer`, the ``repro worker`` entry point) are
-  long-lived processes reusing the serve layer's HTTP plumbing
+  long-lived processes built on the daemon core ``repro serve`` uses
   (:mod:`repro.serve.http`).  ``POST /batch`` accepts a
   :func:`repro.api.encode_request_batch` payload — the same versioned
   request wire forms ``repro serve`` speaks — executes it through
@@ -67,7 +67,7 @@ from repro.harness.parallel import (
     parse_positive_int,
     run_jobs,
 )
-from repro.serve.http import canonical_json, read_http_request, respond
+from repro.serve.http import Daemon, canonical_json, respond, run_daemon
 from repro.version import __version__
 
 #: Default TCP port of ``repro worker`` (``repro serve`` owns 8651).
@@ -161,16 +161,23 @@ def load_worker_roster(path: Union[str, Path]) -> tuple[WorkerRef, ...]:
 # ---------------------------------------------------------------------------
 # The worker process (``repro worker``)
 # ---------------------------------------------------------------------------
-class WorkerServer:
+class WorkerServer(Daemon):
     """A long-lived sweep worker: ``POST /batch`` in, outcome rows out.
 
-    Reuses the serve layer's HTTP plumbing verbatim; execution goes through
+    Built on the serve layer's daemon core; execution goes through
     :func:`run_jobs`, so the PR 8 resilience stack (per-job retry with
     seeded backoff, timeouts and straggler duplication on the pool path,
     seeded chaos via ``REPRO_CHAOS``) applies on the worker exactly as it
     does locally.  Batches execute one at a time — the worker's own
     ``--workers`` pool is the intra-batch parallelism.
     """
+
+    ROUTES = {
+        "/healthz": ("GET", "_handle_healthz"),
+        "/batch": ("POST", "_handle_batch"),
+        "/shutdown": ("POST", "_handle_shutdown"),
+    }
+    NAME = "repro worker"
 
     def __init__(
         self,
@@ -183,8 +190,7 @@ class WorkerServer:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.workers = workers
         self.backend = backend
         self.cache = cache
@@ -192,103 +198,31 @@ class WorkerServer:
         self.jobs_done = 0
         self.jobs_failed = 0
         self._busy = False
-        self._draining = False
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._closed: Optional[asyncio.Event] = None
         self._batch_lock: Optional[asyncio.Lock] = None
 
-    # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
-        self._closed = asyncio.Event()
         self._batch_lock = asyncio.Lock()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        sockets = self._server.sockets or ()
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
+        await super().start()
 
-    @property
-    def address(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def begin_shutdown(self) -> None:
-        if self._draining:
-            return
-        self._draining = True
-        asyncio.get_running_loop().create_task(self._stop())
-
-    async def _stop(self) -> None:
+    async def _drain(self) -> None:
         # Let an in-flight batch finish: the lock serialises against it.
         assert self._batch_lock is not None
         async with self._batch_lock:
             pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        assert self._closed is not None
-        self._closed.set()
 
-    async def wait_closed(self) -> None:
-        assert self._closed is not None, "start() was not called"
-        await self._closed.wait()
-
-    # -- HTTP ----------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            try:
-                request = await read_http_request(reader)
-            except (ValueError, asyncio.IncompleteReadError) as exc:
-                await respond(writer, 400, {"error": f"bad request: {exc}"})
-                return
-            if request is None:
-                return
-            await self._route(request, writer)
-        except (ConnectionError, asyncio.CancelledError):
-            pass  # coordinator went away mid-response
-        except Exception as exc:  # never let a handler bug kill the loop
-            try:
-                await respond(writer, 500, {"error": f"internal error: {exc}"})
-            except Exception:
-                pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
-
-    async def _route(self, request, writer) -> None:
-        method, path = request.method, request.path.rstrip("/") or "/"
-        if path == "/healthz":
-            if method != "GET":
-                await respond(writer, 405, {"error": "use GET"})
-                return
-            await respond(writer, 200, {
-                "status": "draining" if self._draining else "ok",
-                "kind": "worker",
-                "busy": self._busy,
-                "workers": self.workers,
-                "version": __version__,
-                # Schema advertisement: the coordinator refuses to dispatch
-                # to a worker speaking a different batch schema (a clear
-                # error instead of a decode traceback mid-sweep).
-                "batch_schema": BATCH_SCHEMA,
-                "outcome_schema": OUTCOME_SCHEMA,
-            })
-        elif path == "/batch":
-            if method != "POST":
-                await respond(writer, 405, {"error": "use POST"})
-                return
-            await self._handle_batch(request, writer)
-        elif path == "/shutdown":
-            if method != "POST":
-                await respond(writer, 405, {"error": "use POST"})
-                return
-            await respond(writer, 200, {"status": "stopping"})
-            self.begin_shutdown()
-        else:
-            await respond(writer, 404, {"error": f"unknown path {path!r}"})
+    async def _handle_healthz(self, request, writer) -> None:
+        await respond(writer, 200, {
+            "status": "draining" if self._draining else "ok",
+            "kind": "worker",
+            "busy": self._busy,
+            "workers": self.workers,
+            "version": __version__,
+            # Schema advertisement: the coordinator refuses to dispatch
+            # to a worker speaking a different batch schema (a clear
+            # error instead of a decode traceback mid-sweep).
+            "batch_schema": BATCH_SCHEMA,
+            "outcome_schema": OUTCOME_SCHEMA,
+        })
 
     async def _handle_batch(self, http_request, writer) -> None:
         if self._draining:
@@ -337,7 +271,9 @@ class WorkerServer:
                 self._busy = False
         rows = []
         keys: list[str] = []
-        for job, result in outcome:
+        for job, result, attempts in zip(
+            outcome.jobs, outcome.results, outcome.attempts
+        ):
             if isinstance(result, JobFailure):
                 self.jobs_failed += 1
                 rows.append({
@@ -345,7 +281,7 @@ class WorkerServer:
                     "result": None,
                     "error": result.error,
                     "error_type": result.error_type,
-                    "attempts": result.attempts,
+                    "attempts": attempts,
                     "timed_out": result.timed_out,
                 })
             else:
@@ -360,7 +296,7 @@ class WorkerServer:
                     "digest": result_digest(wire),
                     "error": None,
                     "error_type": None,
-                    "attempts": 1,
+                    "attempts": attempts,
                     "timed_out": False,
                 })
             try:
@@ -388,26 +324,9 @@ class WorkerServer:
         }))
 
 
-async def run_worker(server: WorkerServer, *, announce=None) -> None:
-    """Start ``server``, announce the bound address, serve until stopped.
-
-    SIGINT/SIGTERM trigger the same graceful stop as ``POST /shutdown``
-    (an in-flight batch finishes first).
-    """
-    import signal
-
-    await server.start()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, server.begin_shutdown)
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass  # non-main thread or unsupported platform
-    # Announce last: the line is the readiness contract scripts wait on,
-    # so signals must already drain gracefully by the time it prints.
-    if announce is not None:
-        announce(f"repro worker listening on {server.address}")
-    await server.wait_closed()
+#: Start a worker, announce its address, serve until stopped
+#: (:func:`repro.serve.http.run_daemon`; an in-flight batch finishes first).
+run_worker = run_daemon
 
 
 # ---------------------------------------------------------------------------

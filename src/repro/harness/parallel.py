@@ -270,6 +270,9 @@ class SweepOutcome:
     jobs: list[SimulationRequest]
     results: list[SimulationResult]
     stats: SweepStats
+    #: Executions each slot's job consumed, retries included (0 for a
+    #: cache hit).
+    attempts: list[int]
     #: Corrupt manifest lines skipped while (re)loading this sweep's
     #: checkpoint manifest — nonzero means the manifest has damage that
     #: ``repro cache fsck --repair`` can remove.
@@ -445,7 +448,8 @@ class _Sweep:
     each outcome to :meth:`succeed` or :meth:`fail`, which settle it: result
     slot, cache write, one manifest row with the real attempt count and
     resolved backend, and for a failure :class:`SweepError` ("raise") or a
-    :class:`JobFailure` slot.  :meth:`finish` writes stats and the ledger.
+    :class:`JobFailure` slot.  :meth:`outcome` returns the settled sweep;
+    :meth:`finish` also writes its ledger row.
     """
 
     def __init__(
@@ -484,6 +488,7 @@ class _Sweep:
 
         self.start = time.perf_counter()
         self.results: list = [None] * len(jobs)
+        self.attempts: list[int] = [0] * len(jobs)
         self.stats = SweepStats(jobs=len(jobs), backend=_resolved_backends(jobs))
         #: Cache keys of every keyed job (the ledger row's identity).
         self.keys: list[str] = []
@@ -537,6 +542,7 @@ class _Sweep:
                 result: SimulationResult, attempts: int) -> None:
         """Settle a completed job: result slot, cache write, ``done`` row."""
         self.results[index] = result
+        self.attempts[index] = attempts
         if self.cache is not None and key is not None:
             self.cache.put(key, result.to_dict())
         self.record(job, key, "done", attempts)
@@ -549,6 +555,7 @@ class _Sweep:
         ``outstanding`` describe what survived, for :class:`SweepError`)."""
         error_type = _error_type(cause)
         self.stats.failed += 1
+        self.attempts[index] = attempts
         self.record(
             job, key, "timeout" if timed_out else "failed", attempts,
             error=f"{error_type}: {cause}",
@@ -565,27 +572,34 @@ class _Sweep:
             timed_out=timed_out,
         )
 
-    def finish(self, ledger_rows: Sequence[dict] = ()) -> SweepOutcome:
-        """Stamp the wall time and write the ledger, merging ``ledger_rows``
-        (a remote sweep's worker rows) with duplicates dropped."""
+    def outcome(self) -> SweepOutcome:
+        """Stamp the wall time and return the settled sweep."""
         self.stats.wall_seconds = time.perf_counter() - self.start
+        return SweepOutcome(
+            jobs=self.jobs,
+            results=self.results,
+            stats=self.stats,
+            attempts=self.attempts,
+            manifest_skipped=self.manifest_skipped,
+        )
+
+    def finish(self, ledger_rows: Sequence[dict] = ()) -> SweepOutcome:
+        """:meth:`outcome`, plus the sweep's ledger row merged with
+        ``ledger_rows`` (a remote sweep's worker rows), duplicates dropped."""
+        outcome = self.outcome()
         try:
             record_sweep(self.stats, keys=self.keys or None)
             for row in merge_ledger_entries([ledger_rows]):
                 append_entry(row)
         except Exception:
             pass  # the ledger is best-effort; never fail a sweep over it
-        return SweepOutcome(
-            jobs=self.jobs,
-            results=self.results,
-            stats=self.stats,
-            manifest_skipped=self.manifest_skipped,
-        )
+        return outcome
 
 
 def _run_inprocess(books: _Sweep, policy: RetryPolicy, attempts_allowed: int) -> None:
     """The in-process (workers == 1) executor: one attempt loop per job.
 
+    The serve dispatcher's batches run here too (:func:`repro.api.run_batch`).
     Timeouts and straggler duplicates need a pool — a job running in this
     very process cannot be interrupted — so only the retry/backoff half of
     the policy applies here (documented in docs/RESILIENCE.md).

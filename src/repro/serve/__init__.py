@@ -4,7 +4,7 @@ Assembles the serving primitives the rest of the package already provides
 — versioned request wire forms, content-addressed cache keys, ``run_batch``
 and the result cache — into a long-lived stdlib-only HTTP/JSON daemon with
 request coalescing, batched dispatch, live stats endpoints and the shared
-resilience policy (per-batch timeouts, bounded retry with backoff,
+resilience policy (per-batch timeouts, bounded per-job retry with backoff,
 queue-depth load shedding — see docs/RESILIENCE.md).  See docs/SERVING.md
 and :mod:`repro.serve.server` for the full picture; the CLI front ends are
 ``repro serve`` and ``repro submit``.

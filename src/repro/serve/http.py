@@ -1,17 +1,21 @@
-"""Minimal stdlib HTTP/1.1 plumbing shared by ``repro serve`` and ``repro
+"""The stdlib HTTP/1.1 daemon core shared by ``repro serve`` and ``repro
 worker``.
 
-Extracted from :mod:`repro.serve.server` so the distributed sweep layer
-(:mod:`repro.harness.distributed`) can reuse the exact same parser and
-response writer without dragging in the serving stack (coalescer, batch
-queue, stats).  The contract is deliberately tiny: one request per
-connection, ``Content-Length`` bodies only, canonical JSON responses.
+:class:`Daemon` owns everything the two daemons have in common: binding
+(port 0 picks one), one connection handler, a path-to-handler table, and
+the graceful stop with a per-daemon drain hook.  :func:`run_daemon` runs one
+until it has drained.  It lives apart from :mod:`repro.serve.server` so the
+distributed sweep layer (:mod:`repro.harness.distributed`) can use it
+without dragging in the serving stack (coalescer, batch queue, stats).  The
+wire contract is deliberately tiny: one request per connection,
+``Content-Length`` bodies only, canonical JSON responses.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import signal
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
@@ -92,3 +96,136 @@ async def respond(writer, status: int, payload, *, extra_headers=()) -> None:
     head += "\r\n"
     writer.write(head.encode("latin-1") + body)
     await writer.drain()
+
+
+class Daemon:
+    """A long-lived HTTP daemon: bind, route, drain, stop.
+
+    Subclasses fill :attr:`ROUTES` and may override :meth:`_drain`, which
+    runs once when a graceful stop begins, before the listener closes.
+    """
+
+    #: ``path -> (method, handler name)``.  A path ending in ``/`` matches
+    #: every path below it.  Handlers are looked up by name on each request,
+    #: so a handler replaced on the class after startup is the one that runs.
+    ROUTES: Mapping[str, tuple[str, str]] = {}
+    #: What the daemon calls itself in its readiness line.
+    NAME = "repro daemon"
+
+    def __init__(self, host: str, port: int) -> None:
+        self.host = host
+        self.port = port
+        self._draining = False
+        self._server: Optional[asyncio.base_events.Server] = None
+        self._closed: Optional[asyncio.Event] = None
+        #: The stop task (held: the loop keeps only weak task references).
+        self._stopping: Optional[asyncio.Task] = None
+
+    async def start(self) -> None:
+        """Bind the listener (call on the loop)."""
+        self._closed = asyncio.Event()
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.host, self.port
+        )
+        # Port 0 means "pick one": surface the kernel's choice.
+        sockets = self._server.sockets or ()
+        if sockets:
+            self.port = sockets[0].getsockname()[1]
+
+    @property
+    def address(self) -> str:
+        return f"http://{self.host}:{self.port}"
+
+    @property
+    def draining(self) -> bool:
+        return self._draining
+
+    def begin_shutdown(self) -> None:
+        """Start the graceful stop (idempotent, loop-confined)."""
+        if self._draining:
+            return
+        self._draining = True
+        self._stopping = asyncio.get_running_loop().create_task(self._stop())
+
+    async def _drain(self) -> None:
+        """Finish in-flight work before the listener closes."""
+
+    async def _stop(self) -> None:
+        await self._drain()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+        assert self._closed is not None
+        self._closed.set()
+
+    async def wait_closed(self) -> None:
+        """Wait until a graceful stop has completed."""
+        assert self._closed is not None, "start() was not called"
+        await self._closed.wait()
+
+    # -- HTTP ----------------------------------------------------------
+    async def _handle_connection(self, reader, writer) -> None:
+        try:
+            try:
+                request = await read_http_request(reader)
+            except (ValueError, asyncio.IncompleteReadError) as exc:
+                await respond(writer, 400, {"error": f"bad request: {exc}"})
+                return
+            if request is None:
+                return
+            await self._route(request, writer)
+        except (ConnectionError, asyncio.CancelledError):
+            pass  # client went away mid-response; nothing to answer
+        except Exception as exc:  # never let a handler bug kill the loop
+            try:
+                await respond(writer, 500, {"error": f"internal error: {exc}"})
+            except Exception:
+                pass
+        finally:
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except Exception:
+                pass
+
+    async def _route(self, request: HttpRequest, writer) -> None:
+        path = request.path.rstrip("/") or "/"
+        route = self.ROUTES.get(path) or next(
+            (
+                entry for prefix, entry in self.ROUTES.items()
+                if prefix.endswith("/") and path.startswith(prefix)
+            ),
+            None,
+        )
+        if route is None:
+            await respond(writer, 404, {"error": f"unknown path {path!r}"})
+            return
+        method, handler = route
+        if request.method != method:
+            await respond(writer, 405, {"error": f"use {method}"})
+            return
+        await getattr(self, handler)(request, writer)
+
+    async def _handle_shutdown(self, request: HttpRequest, writer) -> None:
+        await respond(writer, 200, {"status": "draining"})
+        self.begin_shutdown()
+
+
+async def run_daemon(daemon: Daemon, *, announce=None) -> None:
+    """Start ``daemon``, announce its address, serve until it has drained.
+
+    SIGINT/SIGTERM trigger the same graceful stop as ``POST /shutdown``
+    (where the platform supports loop signal handlers).  The handlers are
+    installed before the readiness line is announced: scripts wait on that
+    line, so a signal sent the moment it appears must already drain.
+    """
+    await daemon.start()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(signum, daemon.begin_shutdown)
+        except (NotImplementedError, RuntimeError, ValueError):
+            pass  # non-main thread or unsupported platform
+    if announce is not None:
+        announce(f"{daemon.NAME} listening on {daemon.address}")
+    await daemon.wait_closed()

@@ -8,17 +8,14 @@ Engines that intern per-kernel state (the ``vector`` backend's extracted
 traces) keep it process-wide, so a batch pays setup once per kernel, exactly
 as the sweep engine's in-process path does.
 
-Failure attribution: ``run_batch`` raises :class:`repro.api
-.BatchExecutionError` naming one offending request (message now carries its
-cache key and backend).  The dispatcher fails *only that job's* future and
-re-runs the remainder of the batch, so one poisoned request never takes
-innocent co-batched requests down with it.
+Failures are per job: ``run_batch`` runs the batch through the sweep core's
+in-process attempt loop, which retries each request on its own under the
+queue's :class:`repro.harness.parallel.RetryPolicy` (one attempt when there
+is none, with the policy's seeded backoff between attempts).  A request
+that exhausts its attempts fails only its own future, with an error naming
+its benchmark, scheduler, backend and cache key; its neighbours run once.
 
-Resilience (docs/RESILIENCE.md): the queue accepts the same
-:class:`repro.harness.parallel.RetryPolicy` the sweep engine uses.  A
-failing batch is retried up to ``max_attempts`` times with the policy's
-deterministic backoff before the per-offender attribution above kicks in,
-and ``timeout_seconds`` bounds each batch's wall time — a batch past its
+``timeout_seconds`` bounds each batch's wall time — a batch past its
 deadline fails all its jobs with :class:`BatchTimeoutError` while the
 worker thread is *abandoned*, not interrupted (Python threads cannot be
 killed), so :meth:`drain` shuts the pool down without waiting on it.
@@ -41,16 +38,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.api import AnyRequest, BatchExecutionError, JobRecord, JobState, run_batch
-from repro.harness.breaker import CircuitBreaker, CircuitOpenError
-from repro.harness.faults import set_current_attempt
-from repro.harness.parallel import RetryPolicy
-
-#: Unattributed batch failures before a backend's circuit opens.  Higher
-#: than the coordinator's per-worker threshold of 1: a backend is shared
-#: state (one open circuit refuses every request targeting it), so it gets
-#: more benefit of the doubt.
-DEFAULT_BREAKER_THRESHOLD = 3
+from repro.api import AnyRequest, JobRecord, JobState, run_batch
+from repro.harness.parallel import JobFailure, RetryPolicy
 
 
 class BatchTimeoutError(RuntimeError):
@@ -80,7 +69,6 @@ class BatchQueue:
         on_batch_done: Optional[Callable[[list, float], None]] = None,
         on_job_done: Optional[Callable[[QueuedJob, object, Optional[BaseException]], None]] = None,
         on_retry: Optional[Callable[[], None]] = None,
-        breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -88,15 +76,12 @@ class BatchQueue:
             raise ValueError("batch_max must be >= 1")
         if linger < 0:
             raise ValueError("linger must be >= 0")
-        if breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
         self._cache = cache
         self._batch_max = batch_max
         self._linger = linger
         #: Shared policy object (same type the sweep engine takes): retry
-        #: attempts + backoff apply per batch, ``timeout_seconds`` bounds
-        #: each batch's wall time.  ``None`` keeps the historic behavior
-        #: (one attempt, no deadline).
+        #: attempts + backoff apply per job, ``timeout_seconds`` bounds
+        #: each batch's wall time.  ``None`` means one attempt, no deadline.
         self._retry = retry
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
@@ -113,16 +98,8 @@ class BatchQueue:
         self._on_batch_done = on_batch_done
         #: per-job completion hook — resolves coalescer futures / records.
         self._on_job_done = on_job_done
-        #: called (from the worker thread) on each batch retry.
+        #: called (on the loop) once per job retry of a settled batch.
         self._on_retry = on_retry
-        #: Per-resolved-backend circuit breakers (docs/RESILIENCE.md): a
-        #: backend whose batches keep failing *without attribution* (crash
-        #: in the engine itself, not one poisoned request) is opened and
-        #: probed with one request at a time instead of burning whole
-        #: batches against it.  Attributed failures and timeouts don't
-        #: count — they already have narrower handling.
-        self._breaker_threshold = breaker_threshold
-        self._breakers: dict[str, CircuitBreaker] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -180,18 +157,26 @@ class BatchQueue:
     async def _run_batch(self, batch: List[QueuedJob]) -> None:
         loop = asyncio.get_running_loop()
         started = time.perf_counter()
+        requests = [job.request for job in batch]
         future = loop.run_in_executor(
-            self._pool, self._execute_batch, [job.request for job in batch]
+            self._pool,
+            lambda: run_batch(requests, cache=self._cache, retry=self._retry),
         )
         timeout = self._retry.timeout_seconds if self._retry is not None else None
-        if timeout is not None:
-            try:
+        try:
+            if timeout is None:
+                outcome = await future
+            else:
                 # shield(): on timeout the executor future keeps running in
                 # its worker thread (threads cannot be interrupted); we stop
                 # *waiting*, fail the batch's jobs, and mark the thread
                 # abandoned so drain skips it.
-                outcomes = await asyncio.wait_for(asyncio.shield(future), timeout)
-            except asyncio.TimeoutError:
+                outcome = await asyncio.wait_for(asyncio.shield(future), timeout)
+        except Exception:
+            # Either the sweep core itself raised (a job's own failure is a
+            # JobFailure slot, never an exception) or the deadline passed.
+            error = future.exception() if future.done() else None
+            if error is None:
                 self._abandoned += 1
                 # A late result (or error) from the abandoned thread must
                 # never surface as an unretrieved-exception warning.
@@ -200,138 +185,35 @@ class BatchQueue:
                     f"batch of {len(batch)} job(s) exceeded its "
                     f"{timeout}s deadline"
                 )
-                wall = time.perf_counter() - started
-                if self._on_job_done is not None:
-                    for job in batch:
-                        self._on_job_done(job, None, error)
-                if self._on_batch_done is not None:
-                    self._on_batch_done([], wall)
-                return
-        else:
-            outcomes = await future
+            wall = time.perf_counter() - started
+            if self._on_job_done is not None:
+                for job in batch:
+                    self._on_job_done(job, None, error)
+            if self._on_batch_done is not None:
+                self._on_batch_done([], wall)
+            return
         wall = time.perf_counter() - started
+        if self._on_retry is not None:
+            for _ in range(outcome.stats.retried):
+                self._on_retry()
         executed = []
-        for job, (result, error) in zip(batch, outcomes):
-            if error is None and result is not None:
+        for job, result in zip(batch, outcome.results):
+            error = None
+            if isinstance(result, JobFailure):
+                record = job.record
+                result, error = None, RuntimeError(
+                    f"batch request failed: benchmark={record.benchmark!r} "
+                    f"scheduler={record.scheduler!r} backend={record.backend!r} "
+                    f"cache_key={job.cache_key} "
+                    f"({result.error_type}: {result.error})"
+                )
+            else:
                 cycles = max((s.cycles for s in result.per_sm), default=0)
                 executed.append((result.backend, cycles))
             if self._on_job_done is not None:
                 self._on_job_done(job, result, error)
         if self._on_batch_done is not None:
             self._on_batch_done(executed, wall)
-
-    # -- circuit breakers ----------------------------------------------
-    def _backend_name(self, request) -> Optional[str]:
-        """The resolved engine name a request will execute on, or ``None``."""
-        try:
-            from repro.api import MultiTenantRequest
-            from repro.backends import resolve_backend_name
-
-            backend = getattr(request, "backend", None)
-            if backend is None and isinstance(request, MultiTenantRequest):
-                return "lockstep"
-            return resolve_backend_name(backend)
-        except Exception:
-            return None
-
-    def _breaker_for(self, backend: str) -> CircuitBreaker:
-        breaker = self._breakers.get(backend)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                key=f"backend:{backend}",
-                seed=self._retry.seed if self._retry is not None else 0,
-                failure_threshold=self._breaker_threshold,
-                probe_base=(
-                    self._retry.backoff_base if self._retry is not None else 0.05
-                ),
-            )
-            self._breakers[backend] = breaker
-        return breaker
-
-    def breaker_states(self) -> dict[str, str]:
-        """``{backend: state}`` for every breaker created so far."""
-        return {name: b.state for name, b in sorted(self._breakers.items())}
-
-    def _execute_batch(self, requests: List[AnyRequest]):
-        """Worker-thread body: one ``run_batch`` call, retried under the
-        policy's backoff, then retried around individually-failing requests
-        so attribution stays per job."""
-        outcomes: list = [None] * len(requests)
-        remaining = []
-        for index, request in enumerate(requests):
-            name = self._backend_name(request)
-            if name is not None and not self._breaker_for(name).allow():
-                # Open circuit: refuse instantly instead of burning a batch
-                # attempt on a backend that just failed repeatedly.  (In
-                # half-open state exactly one request per backend gets
-                # through as the probe.)
-                outcomes[index] = (None, CircuitOpenError(
-                    f"backend {name!r} circuit is open after repeated "
-                    "failures; retry shortly"
-                ))
-                continue
-            remaining.append((index, request))
-        max_attempts = self._retry.max_attempts if self._retry is not None else 1
-        attempt = 1
-        set_current_attempt(attempt)
-        while remaining:
-            try:
-                results = run_batch(
-                    [request for _, request in remaining], cache=self._cache
-                )
-            except BatchExecutionError as exc:
-                if attempt < max_attempts:
-                    if self._on_retry is not None:
-                        self._on_retry()
-                    time.sleep(
-                        self._retry.backoff_seconds("serve-batch", attempt)
-                    )
-                    attempt += 1
-                    set_current_attempt(attempt)
-                    continue
-                position = next(
-                    (
-                        i
-                        for i, (_, request) in enumerate(remaining)
-                        if request is exc.request or request == exc.request
-                    ),
-                    None,
-                )
-                if position is None:
-                    # Cannot map the failure onto a batch member: fail all.
-                    for index, _ in remaining:
-                        outcomes[index] = (None, exc)
-                    break
-                index, _ = remaining.pop(position)
-                outcomes[index] = (None, exc)
-                continue
-            except Exception as exc:  # batch-level failure, no attribution
-                if attempt < max_attempts:
-                    if self._on_retry is not None:
-                        self._on_retry()
-                    time.sleep(
-                        self._retry.backoff_seconds("serve-batch", attempt)
-                    )
-                    attempt += 1
-                    set_current_attempt(attempt)
-                    continue
-                for name in {
-                    self._backend_name(request) for _, request in remaining
-                }:
-                    if name is not None:
-                        self._breaker_for(name).record_failure()
-                for index, _ in remaining:
-                    outcomes[index] = (None, exc)
-                break
-            for name in {
-                self._backend_name(request) for _, request in remaining
-            }:
-                if name is not None:
-                    self._breaker_for(name).record_success()
-            for (index, _), result in zip(remaining, results):
-                outcomes[index] = (result, None)
-            break
-        return outcomes
 
     # ------------------------------------------------------------------
     async def drain(self) -> dict:

@@ -24,6 +24,9 @@ service.  One :class:`ReproService` wires the existing pieces together:
   gracefully: intake stops, queued work finishes, a ``"kind": "serve"``
   row lands in the bench ledger, then the listener closes.
 
+Binding, routing and the stop sequence come from the daemon core
+(:class:`repro.serve.http.Daemon`) that ``repro worker`` shares.
+
 Response bodies for ``/simulate`` are the *canonical JSON rendering of the
 result wire form* (sorted keys, compact separators) whichever path produced
 them — cache hit, coalesced or executed — so identical requests always
@@ -53,12 +56,7 @@ from repro.api import (
 from repro.harness.ledger import append_entry, read_ledger, summarize_ledger
 from repro.harness.parallel import RetryPolicy
 from repro.serve.coalesce import Coalescer
-from repro.serve.http import (
-    HttpRequest,
-    canonical_json,
-    read_http_request,
-    respond,
-)
+from repro.serve.http import Daemon, HttpRequest, canonical_json, respond, run_daemon
 from repro.serve.queue import BatchQueue, BatchTimeoutError, QueuedJob
 from repro.serve.stats import ServiceStats
 from repro.version import __version__
@@ -91,8 +89,18 @@ class ServiceOverloaded(RuntimeError):
         self.retry_after = retry_after
 
 
-class ReproService:
+class ReproService(Daemon):
     """The serving layer: cache -> coalesce -> batch -> respond."""
+
+    ROUTES = {
+        "/healthz": ("GET", "_handle_healthz"),
+        "/stats": ("GET", "_handle_stats"),
+        "/jobs": ("GET", "_handle_jobs"),
+        "/jobs/": ("GET", "_handle_job"),
+        "/simulate": ("POST", "_handle_simulate"),
+        "/shutdown": ("POST", "_handle_shutdown"),
+    }
+    NAME = "repro serve"
 
     def __init__(
         self,
@@ -110,8 +118,7 @@ class ReproService:
     ) -> None:
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.cache = cache
         #: Fills in the engine for requests that left theirs ``None``
         #: (multi-tenant requests keep their ``lockstep`` default).
@@ -137,41 +144,16 @@ class ReproService:
         self.jobs: "OrderedDict[str, JobRecord]" = OrderedDict()
         self._max_job_records = max_job_records
         self._job_counter = 0
-        self._draining = False
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._closed: Optional[asyncio.Event] = None
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listener and start the dispatcher (call on the loop)."""
-        self._closed = asyncio.Event()
+        """Start the dispatcher and bind the listener (call on the loop)."""
         self.queue.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        # Port 0 means "pick one": surface the kernel's choice.
-        sockets = self._server.sockets or ()
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
+        await super().start()
 
-    @property
-    def address(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    def begin_shutdown(self) -> None:
-        """Start the graceful drain (idempotent, loop-confined)."""
-        if self._draining:
-            return
-        self._draining = True
-        asyncio.get_running_loop().create_task(self._drain_and_stop())
-
-    async def _drain_and_stop(self) -> None:
+    async def _drain(self) -> None:
         summary = await self.queue.drain()
         self.drain_summary = summary
         if summary.get("drain_errors"):
@@ -182,16 +164,6 @@ class ReproService:
             append_entry(self.stats.ledger_entry())
         except Exception:
             pass  # the ledger is best-effort; never block a shutdown on it
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        assert self._closed is not None
-        self._closed.set()
-
-    async def wait_closed(self) -> None:
-        """Wait until a graceful shutdown has completed."""
-        assert self._closed is not None, "start() was not called"
-        await self._closed.wait()
 
     # ------------------------------------------------------------------
     # request core (also the in-process API the tests drive directly)
@@ -331,7 +303,6 @@ class ReproService:
         payload["jobs_tracked"] = len(self.jobs)
         payload["reconciles"] = self.stats.reconciles()
         payload["version"] = __version__
-        payload["breaker_state"] = self.queue.breaker_states()
         payload["quarantined"] = (
             self.cache.stats.quarantined if self.cache is not None else 0
         )
@@ -341,81 +312,29 @@ class ReproService:
         return payload
 
     # ------------------------------------------------------------------
-    # HTTP plumbing
+    # HTTP handlers (routed by the daemon core)
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            try:
-                request = await read_http_request(reader)
-            except (ValueError, asyncio.IncompleteReadError) as exc:
-                await respond(writer, 400, {"error": f"bad request: {exc}"})
-                return
-            if request is None:
-                return
-            await self._route(request, writer)
-        except (ConnectionError, asyncio.CancelledError):
-            pass  # client went away mid-response; nothing to answer
-        except Exception as exc:  # never let a handler bug kill the loop
-            try:
-                await respond(writer, 500, {"error": f"internal error: {exc}"})
-            except Exception:
-                pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+    async def _handle_healthz(self, request: HttpRequest, writer) -> None:
+        await respond(writer, 200, {
+            "status": "draining" if self._draining else "ok",
+            "version": __version__,
+        })
 
-    async def _route(self, request: HttpRequest, writer) -> None:
-        method, path = request.method, request.path.rstrip("/") or "/"
-        if path == "/healthz":
-            if method != "GET":
-                await respond(writer, 405, {"error": "use GET"})
-                return
-            await respond(
-                writer,
-                200,
-                {
-                    "status": "draining" if self._draining else "ok",
-                    "version": __version__,
-                },
-            )
-        elif path == "/stats":
-            if method != "GET":
-                await respond(writer, 405, {"error": "use GET"})
-                return
-            await respond(writer, 200, self.stats_payload())
-        elif path == "/jobs":
-            if method != "GET":
-                await respond(writer, 405, {"error": "use GET"})
-                return
-            records = list(self.jobs.values())[-50:]
-            await respond(
-                writer, 200, {"jobs": [r.to_dict() for r in reversed(records)]}
-            )
-        elif path.startswith("/jobs/"):
-            if method != "GET":
-                await respond(writer, 405, {"error": "use GET"})
-                return
-            record = self.jobs.get(path[len("/jobs/"):])
-            if record is None:
-                await respond(writer, 404, {"error": "unknown job"})
-                return
-            await respond(writer, 200, record.to_dict())
-        elif path == "/simulate":
-            if method != "POST":
-                await respond(writer, 405, {"error": "use POST"})
-                return
-            await self._handle_simulate(request, writer)
-        elif path == "/shutdown":
-            if method != "POST":
-                await respond(writer, 405, {"error": "use POST"})
-                return
-            await respond(writer, 200, {"status": "draining"})
-            self.begin_shutdown()
-        else:
-            await respond(writer, 404, {"error": f"unknown path {path!r}"})
+    async def _handle_stats(self, request: HttpRequest, writer) -> None:
+        await respond(writer, 200, self.stats_payload())
+
+    async def _handle_jobs(self, request: HttpRequest, writer) -> None:
+        records = list(self.jobs.values())[-50:]
+        await respond(
+            writer, 200, {"jobs": [r.to_dict() for r in reversed(records)]}
+        )
+
+    async def _handle_job(self, request: HttpRequest, writer) -> None:
+        record = self.jobs.get(request.path.rstrip("/")[len("/jobs/"):])
+        if record is None:
+            await respond(writer, 404, {"error": "unknown job"})
+            return
+        await respond(writer, 200, record.to_dict())
 
     async def _handle_simulate(self, http: HttpRequest, writer) -> None:
         try:
@@ -466,21 +385,6 @@ class ReproService:
         )
 
 
-async def run_service(service: ReproService, *, announce=None) -> None:
-    """Start ``service``, announce the bound address, serve until drained.
-
-    SIGINT/SIGTERM trigger the same graceful drain as ``POST /shutdown``
-    (where the platform supports loop signal handlers).
-    """
-    import signal
-
-    await service.start()
-    if announce is not None:
-        announce(f"repro serve listening on {service.address}")
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, service.begin_shutdown)
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass  # non-main thread or unsupported platform
-    await service.wait_closed()
+#: Start a service, announce its address, serve until drained
+#: (:func:`repro.serve.http.run_daemon`).
+run_service = run_daemon

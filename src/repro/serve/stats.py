@@ -13,9 +13,9 @@ accepted request was answered exactly one way —
 
 ``shed`` counts requests turned away (503 + ``Retry-After``) by the
 queue-depth load-shedding threshold; ``retried`` and ``timed_out`` are
-*informational* — a retried batch still resolves each of its jobs as
-executed or failed, and a timed-out job is a kind of failure, so neither
-adds a new way for a request to be answered.  The end-to-end suite and the
+*informational* — a retried job still resolves as executed or failed, and
+a timed-out job is a kind of failure, so neither adds a new way for a
+request to be answered.  The end-to-end suite and the
 CI serve-smoke job both assert the invariant after mixed traffic.
 
 At drain time :meth:`ledger_entry` renders the counters as one bench-ledger
@@ -75,7 +75,7 @@ class ServiceStats:
     shed: int = 0
     #: Jobs whose batch exceeded its deadline (each also counts as failed).
     timed_out: int = 0
-    #: Batch dispatch retries after a failure (informational).
+    #: Job retries after a failed attempt (informational).
     retried: int = 0
     #: Worker-thread exceptions surfaced during drain (would previously be
     #: silently discarded by ``asyncio.gather(..., return_exceptions=True)``).

@@ -1,12 +1,8 @@
-"""Circuit breaker state machine + the serve queue's per-backend breakers."""
+"""Circuit breaker state machine and its seeded probe delays."""
 
 import pytest
 
-from repro.api import SimulationRequest
-from repro.harness.breaker import CircuitBreaker, CircuitOpenError
-from repro.harness.parallel import RetryPolicy
-from repro.harness.runner import RunConfig
-from repro.serve.queue import BatchQueue
+from repro.harness.breaker import CircuitBreaker
 
 
 class FakeClock:
@@ -137,77 +133,3 @@ class TestProbeDelays:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             CircuitBreaker("w", **kwargs)
-
-
-class TestBatchQueueBreakers:
-    """The serve dispatcher's per-backend breakers (worker-thread body)."""
-
-    def request(self):
-        return SimulationRequest(
-            "ATAX", "gto", RunConfig(scale=0.05, seed=1), backend="reference"
-        )
-
-    def queue(self, **kwargs):
-        # backoff_base doubles as the breaker's probe_base: keep it large so
-        # an opened circuit stays open for the rest of the test instead of
-        # instantly admitting a half-open probe.
-        kwargs.setdefault("retry", RetryPolicy(max_attempts=1, backoff_base=30.0))
-        return BatchQueue(breaker_threshold=2, **kwargs)
-
-    def test_unattributed_failures_open_the_backend_circuit(self, monkeypatch):
-        calls = []
-
-        def boom(requests, cache=None):
-            calls.append(len(requests))
-            raise RuntimeError("engine crashed")
-
-        monkeypatch.setattr("repro.serve.queue.run_batch", boom)
-        queue = self.queue()
-        for _ in range(2):  # threshold = 2
-            (result, error), = queue._execute_batch([self.request()])
-            assert result is None
-            assert isinstance(error, RuntimeError)
-        assert queue.breaker_states() == {"reference": "open"}
-
-        # Open circuit: requests are refused without touching the engine.
-        (result, error), = queue._execute_batch([self.request()])
-        assert result is None
-        assert isinstance(error, CircuitOpenError)
-        assert len(calls) == 2
-
-    def test_probe_success_recloses(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.serve.queue.run_batch",
-            lambda requests, cache=None: (_ for _ in ()).throw(
-                RuntimeError("down")
-            ),
-        )
-        queue = self.queue()
-        for _ in range(2):
-            queue._execute_batch([self.request()])
-        breaker = queue._breakers["reference"]
-        assert breaker.state == "open"
-        # Force the probe window open and let the backend recover.
-        breaker._probe_at = 0.0
-        monkeypatch.setattr(
-            "repro.serve.queue.run_batch",
-            lambda requests, cache=None: ["recovered"] * len(requests),
-        )
-        (result, error), = queue._execute_batch([self.request()])
-        assert error is None
-        assert result == "recovered"
-        assert queue.breaker_states() == {"reference": "closed"}
-
-    def test_success_does_not_create_breakers_noise(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.serve.queue.run_batch",
-            lambda requests, cache=None: ["ok"] * len(requests),
-        )
-        queue = self.queue()
-        (result, error), = queue._execute_batch([self.request()])
-        assert (result, error) == ("ok", None)
-        assert queue.breaker_states() == {"reference": "closed"}
-
-    def test_breaker_threshold_validated(self):
-        with pytest.raises(ValueError):
-            BatchQueue(breaker_threshold=0)

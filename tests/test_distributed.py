@@ -44,7 +44,7 @@ from repro.harness.distributed import (
     parse_workers_at,
     run_distributed,
 )
-from repro.harness.faults import corrupt_result
+from repro.harness.faults import FaultPlan, configure_chaos, corrupt_result
 from repro.harness.ledger import read_ledger_report
 from repro.harness.manifest import load_manifest
 from repro.harness.parallel import (
@@ -766,6 +766,29 @@ class TestSettlementParity:
         ]
         backend = self.JOBS[0].resolved_backend()
         assert all(row[2] == 1 and row[3] == backend for row in rows["in-process"])
+
+    def test_retry_mode_counts_the_same_attempts(self, worker, tmp_path):
+        """A job that succeeds on its second attempt settles as ``done``
+        after 2 attempts on every executor: a remote worker reports the
+        retries it ran itself."""
+        configure_chaos(FaultPlan(rate=1.0, kinds=("fail",), only_attempts=(1,)))
+        try:
+            rows = {}
+            for name, run in self.executors(worker).items():
+                manifest = tmp_path / f"{name}.manifest"
+                run(
+                    backend="chaos", on_error="retry", manifest=manifest,
+                    retry=RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0),
+                )
+                rows[name] = sorted(
+                    (row["key"], row["status"], row["attempts"], row["backend"])
+                    for row in map(json.loads, manifest.read_text().splitlines())
+                )
+        finally:
+            configure_chaos(None)
+        assert rows["pool"] == rows["in-process"] == rows["remote"]
+        settled = sorted(row[1:3] for row in rows["remote"])
+        assert settled == [("done", 2), ("done", 2), ("failed", 3)]
 
     def test_raise_mode_names_the_same_job_and_cause(self, worker):
         messages = set()

@@ -1,11 +1,15 @@
 """``repro.api.run_batch``: batch execution equals per-request execution.
 
 The contract under test is the one the serving layer relies on:
-``run_batch(requests)`` returns exactly ``[run_benchmark(r) for r in
+``run_batch(requests).results`` holds exactly ``[run_benchmark(r) for r in
 requests]`` result for result — whatever mix of benchmarks, schedulers,
 seeds and backends the batch contains, and however cache hits interleave
-with executed requests.
+with executed requests.  A failing request settles as its own
+``JobFailure`` slot and never re-runs its neighbours.
 """
+
+import asyncio
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,16 +20,18 @@ from strategies import (
     strip_backend as _strip_backend,
 )
 
+import repro.api
 from repro.api import (
-    BatchExecutionError,
+    JobRecord,
     RunConfig,
     SimulationRequest,
     execute,
     run_batch,
 )
 from repro.harness.cache import ResultCache
-from repro.harness.parallel import run_jobs
+from repro.harness.parallel import JobFailure, RetryPolicy, run_jobs
 from repro.harness.runner import run_benchmark
+from repro.serve import BatchQueue, QueuedJob
 
 requests_strategy = st.lists(simulation_requests(), min_size=1, max_size=4)
 
@@ -34,7 +40,7 @@ requests_strategy = st.lists(simulation_requests(), min_size=1, max_size=4)
 @given(requests=requests_strategy)
 def test_run_batch_equals_individual_runs(requests):
     """run_batch(reqs) == [run_benchmark(r) for r in reqs], result for result."""
-    batched = run_batch(requests)
+    batched = run_batch(requests).results
     individual = [
         run_benchmark(r.benchmark, r.scheduler, r.run_config, backend=r.backend)
         for r in requests
@@ -59,7 +65,7 @@ def test_run_batch_with_cache_hit_interleavings(tmp_path_factory, requests, warm
     for request, warm in zip(requests, warm_mask):
         if warm:
             cache.put(request.cache_key(), execute(request).to_dict())
-    batched = run_batch(requests, cache=cache)
+    batched = run_batch(requests, cache=cache).results
     individual = [execute(r) for r in requests]
     assert _dicts(batched) == _dicts(individual)
     for request in requests:
@@ -74,28 +80,22 @@ def test_run_batch_mixes_backends_in_one_call():
         SimulationRequest("ATAX", "gto", config, backend="vector"),
         SimulationRequest("ATAX", "gto", config, backend="lockstep"),
     ]
-    results = run_batch(requests)
+    results = run_batch(requests).results
     assert [r.backend for r in results] == ["reference", "vector", "lockstep"]
     # Single-SM runs are bit-identical across all three engines.
     payloads = _strip_backend(_dicts(results))
     assert payloads[0] == payloads[1] == payloads[2]
 
 
-def test_run_batch_backend_argument_fills_unpinned_requests():
-    config = RunConfig(scale=0.02)
-    unpinned = SimulationRequest("ATAX", "gto", config)
-    pinned = SimulationRequest("ATAX", "gto", config, backend="reference")
-    results = run_batch([unpinned, pinned], backend="vector")
-    assert results[0].backend == "vector"
-    assert results[1].backend == "reference"
-
-
 def test_run_batch_error_names_the_offending_request():
     good = SimulationRequest("ATAX", "gto", RunConfig(scale=0.02))
     bad = SimulationRequest("NOPE-NOT-A-BENCHMARK", "gto", RunConfig(scale=0.02))
-    with pytest.raises(BatchExecutionError) as excinfo:
-        run_batch([good, bad])
-    assert excinfo.value.request.benchmark_name == "NOPE-NOT-A-BENCHMARK"
+    outcome = run_batch([good, bad])
+    assert not isinstance(outcome.results[0], JobFailure)
+    failure = outcome.results[1]
+    assert isinstance(failure, JobFailure)
+    assert failure.job.benchmark_name == "NOPE-NOT-A-BENCHMARK"
+    assert "NOPE-NOT-A-BENCHMARK" in failure.error
 
 
 def test_run_batch_failure_keeps_already_cached_results(tmp_path):
@@ -106,11 +106,104 @@ def test_run_batch_failure_keeps_already_cached_results(tmp_path):
     # Valid names (so the up-front cache-key pass accepts it) but a launch
     # geometry that fails at materialisation time, mid-batch.
     bad = SimulationRequest("ATAX", "gto", RunConfig(scale=0.02, num_ctas=0))
-    with pytest.raises(BatchExecutionError):
-        run_batch([good, also_good, bad], cache=cache)
+    outcome = run_batch([good, also_good, bad], cache=cache)
+    assert [isinstance(r, JobFailure) for r in outcome.results] == [
+        False, False, True,
+    ]
     # The successful requests were cached as they completed.
     assert cache.get(good.cache_key()) is not None
     assert cache.get(also_good.cache_key()) is not None
+
+
+def test_run_batch_retries_each_request_on_its_own():
+    """Under a policy only the failing request spends extra attempts."""
+    good = SimulationRequest("ATAX", "gto", RunConfig(scale=0.02))
+    bad = SimulationRequest("ATAX", "gto", RunConfig(scale=0.02, num_ctas=0))
+    outcome = run_batch(
+        [good, bad], retry=RetryPolicy(max_attempts=3, backoff_base=0.0)
+    )
+    assert outcome.attempts == [1, 3]
+    assert outcome.results[1].attempts == 3
+    assert outcome.stats.retried == 2
+
+
+def queued(request: SimulationRequest) -> QueuedJob:
+    key = request.cache_key()
+    return QueuedJob(request, key, JobRecord.for_request(
+        request, job_id=f"j-{request.benchmark_name}", cache_key=key,
+    ))
+
+
+@pytest.mark.parametrize(
+    "retry",
+    [None, RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)],
+    ids=["no-policy", "retry-3"],
+)
+def test_failing_request_never_reruns_its_neighbours(monkeypatch, retry):
+    """One bad request in a served batch costs only its own attempts: each
+    good neighbour executes once, the bad one ``max_attempts`` times."""
+    executed = Counter()
+    real_execute = repro.api.execute
+
+    def counting_execute(request):
+        executed[request.benchmark_name] += 1
+        return real_execute(request)
+
+    monkeypatch.setattr(repro.api, "execute", counting_execute)
+    config = RunConfig(scale=0.02, seed=1)
+    requests = [
+        SimulationRequest("ATAX", "gto", config),
+        SimulationRequest("SYRK", "gto", config),
+        # Valid names but a launch geometry that fails inside the engine.
+        SimulationRequest("MVT", "gto", RunConfig(scale=0.02, seed=1, num_ctas=0)),
+        SimulationRequest("BICG", "gto", config),
+    ]
+    errors = {}
+
+    async def scenario():
+        queue = BatchQueue(
+            workers=1, linger=0.0, retry=retry,
+            on_job_done=lambda job, result, error:
+                errors.__setitem__(job.request.benchmark_name, error),
+        )
+        queue.start()
+        for request in requests:  # all queued before the dispatcher runs
+            queue.put(queued(request))
+        return await queue.drain()
+
+    assert asyncio.run(scenario())["drain_errors"] == 0
+    max_attempts = retry.max_attempts if retry is not None else 1
+    assert executed == {"ATAX": 1, "SYRK": 1, "MVT": max_attempts, "BICG": 1}
+    assert [name for name, error in errors.items() if error] == ["MVT"]
+    message = str(errors["MVT"])
+    assert requests[2].cache_key() in message
+    assert "benchmark='MVT'" in message and "scheduler='gto'" in message
+    assert f"backend={requests[2].resolved_backend()!r}" in message
+
+
+def test_batch_level_error_fails_every_job_of_the_batch(monkeypatch):
+    """An error raised by ``run_batch`` itself (not by one job, say a cache
+    write) fails each waiter of the batch instead of leaving it hanging."""
+
+    def broken(requests, **kwargs):
+        raise OSError("cache volume is read-only")
+
+    monkeypatch.setattr("repro.serve.queue.run_batch", broken)
+    errors = []
+
+    async def scenario():
+        queue = BatchQueue(
+            workers=1, linger=0.0,
+            on_job_done=lambda job, result, error: errors.append((result, error)),
+        )
+        queue.start()
+        for bench in ("ATAX", "SYRK"):
+            queue.put(queued(SimulationRequest(bench, "gto", RunConfig(scale=0.02))))
+        return await queue.drain()
+
+    assert asyncio.run(scenario())["drain_errors"] == 0
+    assert len(errors) == 2
+    assert all(result is None and isinstance(error, OSError) for result, error in errors)
 
 
 def test_run_jobs_in_process_path_uses_batch_semantics():
