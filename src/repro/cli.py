@@ -39,11 +39,6 @@ Subcommands
 ``repro reproduce FIGURE ...``
     Regenerate the data behind a figure / table of the paper (``fig8``,
     ``fig11a``, ``table2``, ... or ``all``) as JSON.
-``repro bench [--quick] [--baseline PATH]``
-    Measure simulator throughput (simulated cycles per second) on the
-    pinned workload matrix, write ``BENCH_<rev>.json``, append to the bench
-    ledger, and optionally gate against a baseline report (exit code 1 on
-    regression).  See docs/PERFORMANCE.md.
 ``repro serve --host --port --workers``
     Boot the long-lived simulation service (see docs/SERVING.md): accepts
     request wire forms on ``POST /simulate``, serves cache hits instantly,
@@ -59,11 +54,10 @@ Subcommands
 ``repro submit BENCH [SCHED]`` / ``repro submit --file payload.json``
     Submit one request to a running ``repro serve`` instance and print the
     result (the testing client for the service).
-``repro cache [show|stats|clear]``
+``repro cache [show|stats|clear|fsck]``
     Show the content-addressed result cache, print the bench-ledger
-    statistics (warm vs cold sweep trajectory, the ``repro bench``
-    throughput trajectory and ``repro serve`` traffic), or clear the
-    cache.
+    statistics (warm vs cold sweep trajectory and ``repro serve``
+    traffic), clear the cache, or verify artifact integrity.
 ``repro list``
     List the available benchmarks, schedulers and backends
     (``--backends`` for backends only).
@@ -91,6 +85,7 @@ from repro.backends import (
 )
 from repro.harness.cache import ResultCache, cache_enabled_by_env, default_cache_dir
 from repro.harness.ledger import (
+    is_sweep,
     ledger_path,
     read_ledger,
     read_ledger_report,
@@ -240,29 +235,22 @@ def _cmd_run_tenants(args) -> int:
         print("error: --tenants/--scenario replaces the positional "
               "BENCH [SCHED ...] arguments", file=sys.stderr)
         return 2
-    try:
-        if args.scenario:
-            request = colocation_scenario(
-                args.scenario, scale=args.scale, seed=args.seed, backend=args.backend
-            )
-            with_isolated = True  # scenarios always report slowdown vs isolated
-        else:
-            tenants = parse_tenant_specs(args.tenants)
-            request = MultiTenantRequest(
-                tenants=tenants,
-                run_config=RunConfig(
-                    scale=args.scale if args.scale is not None else 0.3,
-                    seed=args.seed if args.seed is not None else 1,
-                ),
-                backend=args.backend,
-            )
-            with_isolated = args.isolated
-        request.canonicalize()  # fail fast on bad partitions / unknown names
-    except ValueError as exc:
-        # Bad --tenants specs / SM partitions are usage errors; engine
-        # ValueErrors raised mid-simulation still traceback normally.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.scenario:
+        request = colocation_scenario(
+            args.scenario, scale=args.scale, seed=args.seed, backend=args.backend
+        )
+        with_isolated = True  # scenarios always report slowdown vs isolated
+    else:
+        request = MultiTenantRequest(
+            tenants=parse_tenant_specs(args.tenants),
+            run_config=RunConfig(
+                scale=args.scale if args.scale is not None else 0.3,
+                seed=args.seed if args.seed is not None else 1,
+            ),
+            backend=args.backend,
+        )
+        with_isolated = args.isolated
+    request.canonicalize()  # fail fast on bad partitions / unknown names
 
     jobs = [request]
     if with_isolated:
@@ -420,11 +408,7 @@ def cmd_sweep(args) -> int:
 
         from repro.harness.faults import FaultPlan, configure_chaos
 
-        try:
-            plan = FaultPlan.from_spec(args.chaos)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        plan = FaultPlan.from_spec(args.chaos)
         if backend is not None:
             plan = _dc_replace(plan, delegate=resolve_backend_name(backend))
         configure_chaos(plan)
@@ -436,11 +420,7 @@ def cmd_sweep(args) -> int:
               file=sys.stderr)
         return 2
 
-    try:
-        retry = _sweep_retry_policy(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    retry = _sweep_retry_policy(args)
 
     if args.audit_rate and not (args.workers_at or args.worker_roster):
         print("error: --audit-rate only applies to distributed sweeps "
@@ -468,43 +448,32 @@ def cmd_sweep(args) -> int:
         # the roster's `repro worker` processes, stream outcomes into the
         # same manifest (--resume works unchanged).  docs/DISTRIBUTED.md.
         from repro.harness.distributed import (
-            WorkerSchemaError,
             load_worker_roster,
             parse_workers_at,
             run_distributed,
         )
 
-        try:
-            if args.workers_at and args.worker_roster:
-                raise ValueError(
-                    "--workers-at and --worker-roster are mutually exclusive"
-                )
-            roster = (
-                parse_workers_at(args.workers_at)
-                if args.workers_at
-                else load_worker_roster(args.worker_roster)
-            )
-            if args.chunk_size < 1:
-                raise ValueError("--chunk-size must be >= 1")
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            outcome = run_distributed(
-                jobs,
-                roster,
-                cache=cache,
-                on_error=args.on_error,
-                retry=retry,
-                manifest=manifest,
-                chunk_size=args.chunk_size,
-                audit_rate=args.audit_rate,
-            )
-        except WorkerSchemaError as exc:
-            # Mixed repro versions across a roster: an operator mistake,
-            # surfaced as a one-line error instead of a traceback.
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        if args.workers_at and args.worker_roster:
+            raise ValueError("--workers-at and --worker-roster are mutually exclusive")
+        roster = (
+            parse_workers_at(args.workers_at)
+            if args.workers_at
+            else load_worker_roster(args.worker_roster)
+        )
+        if args.chunk_size < 1:
+            # run_distributed chunks only pending jobs, so a fully cached
+            # sweep would accept 0: reject it before any lookup.
+            raise ValueError("--chunk-size must be >= 1")
+        outcome = run_distributed(
+            jobs,
+            roster,
+            cache=cache,
+            on_error=args.on_error,
+            retry=retry,
+            manifest=manifest,
+            chunk_size=args.chunk_size,
+            audit_rate=args.audit_rate,
+        )
     else:
         outcome = run_jobs(
             jobs,
@@ -650,104 +619,6 @@ def cmd_reproduce(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# repro bench
-# ---------------------------------------------------------------------------
-def cmd_bench(args) -> int:
-    from repro.harness import bench as bench_mod
-
-    if args.repeat < 1:
-        print("error: --repeat must be >= 1", file=sys.stderr)
-        return 2
-    if not 0.0 <= args.tolerance < 1.0:
-        print("error: --tolerance must be in [0, 1)", file=sys.stderr)
-        return 2
-    benchmarks = resolve_benchmark_names(args.benchmarks) if args.benchmarks else None
-    schedulers = (
-        [canonical_scheduler_name(s) for s in args.schedulers] if args.schedulers else None
-    )
-    cases = bench_mod.bench_matrix(
-        quick=args.quick,
-        backend=resolve_backend_name(args.backend),
-        benchmarks=benchmarks,
-        schedulers=schedulers,
-        scale=args.scale,
-        seed=args.seed,
-    )
-    progress = None if args.json else (lambda message: print(message, file=sys.stderr))
-    report = bench_mod.run_bench(
-        cases, repeats=args.repeat, quick=args.quick, progress=progress
-    )
-    report_path = None
-    if not args.no_write:
-        report_path = bench_mod.write_report(report, args.out)
-    ledger = bench_mod.record_bench(report)
-
-    problems: list[str] = []
-    deltas: Optional[list[dict]] = None
-    if args.baseline:
-        try:
-            baseline = bench_mod.load_report(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-        problems = bench_mod.compare_reports(report, baseline, tolerance=args.tolerance)
-        deltas = bench_mod.case_deltas(report, baseline)
-
-    if args.json:
-        json.dump(
-            {
-                **report,
-                "report_path": str(report_path) if report_path else None,
-                "baseline": args.baseline,
-                # Per-case cycles/sec vs the baseline (None for cases the
-                # baseline does not know, e.g. new vector rows).
-                "deltas": deltas,
-                "regressions": problems,
-            },
-            sys.stdout,
-            indent=2,
-        )
-        print()
-    else:
-        delta_by_key = {
-            (d["benchmark"], d["scheduler"], d["backend"]): d
-            for d in (deltas or ())
-        }
-        rows = []
-        for c in report["cases"]:
-            row = {
-                "benchmark": c["benchmark"],
-                "scheduler": c["scheduler"],
-                "backend": c["backend"],
-                "wall_s": c["wall_seconds"],
-                "cycles_per_s": c["cycles_per_second"],
-            }
-            if deltas is not None:
-                delta = delta_by_key.get(
-                    (c["benchmark"], c["scheduler"], c["backend"])
-                )
-                speedup = delta.get("speedup") if delta else None
-                row["vs_baseline"] = (
-                    f"{speedup:.2f}x" if speedup is not None else "new"
-                )
-            rows.append(row)
-        print(format_table(rows))
-        aggregate = report["aggregate"]
-        print(
-            f"\naggregate: {aggregate['cycles']} cycles in "
-            f"{aggregate['wall_seconds']:.2f}s = "
-            f"{aggregate['cycles_per_second']:.0f} cycles/sec (rev {report['rev']})"
-        )
-        if report_path is not None:
-            print(f"wrote {report_path}")
-        if ledger is not None:
-            print(f"ledger: {ledger}")
-        for problem in problems:
-            print(f"REGRESSION: {problem}")
-    return 1 if problems else 0
-
-
-# ---------------------------------------------------------------------------
 # repro cache / repro list
 # ---------------------------------------------------------------------------
 def _cmd_cache_fsck(args, cache: ResultCache) -> int:
@@ -823,8 +694,8 @@ def cmd_cache(args) -> int:
         # reports zeros for the same reason).
         if not path.exists():
             print(f"no bench ledger yet at {path}")
-            print("run a sweep (repro sweep), a bench (repro bench) or a "
-                  "service session (repro serve) to create it")
+            print("run a sweep (repro sweep) or a service session "
+                  "(repro serve) to create it")
             return 0
         entries, skipped = read_ledger_report(path)
         if skipped:
@@ -848,11 +719,6 @@ def cmd_cache(args) -> int:
                 f"{name}: {count}" for name, count in sorted(summary["sweeps_by_backend"].items())
             )
             print(f"by backend      : {per_backend}")
-        if summary["bench_runs"]:
-            print(f"bench runs      : {summary['bench_runs']} "
-                  f"(latest {summary['bench_latest_cycles_per_second']:.0f} cyc/s"
-                  f" @ {summary['bench_latest_rev'] or '?'}, "
-                  f"best {summary['bench_best_cycles_per_second']:.0f} cyc/s)")
         if summary["serve_sessions"]:
             print(f"serve sessions  : {summary['serve_sessions']} "
                   f"({summary['serve_requests']} requests: "
@@ -864,7 +730,7 @@ def cmd_cache(args) -> int:
                   f"{summary['audit_failures']} mismatch(es), "
                   f"{summary['corrupt']} transport-corrupt row(s), "
                   f"{summary['audit_rows']} audit ledger row(s)")
-        recent = [e for e in entries if e.get("kind") not in ("bench", "serve")][-5:]
+        recent = [e for e in entries if is_sweep(e)][-5:]
         if recent:
             print("\nmost recent sweeps:")
             print(format_table([
@@ -883,7 +749,8 @@ def cmd_cache(args) -> int:
     print(f"enabled         : {'yes' if enabled else 'no (REPRO_RESULT_CACHE)'}")
     print(f"entries         : {cache.entry_count()}")
     print(f"size            : {cache.size_bytes() / 1024:.1f} KiB")
-    print(f"bench ledger    : {ledger_path()} ({len(read_ledger())} sweeps recorded)")
+    sweeps = sum(map(is_sweep, read_ledger()))
+    print(f"bench ledger    : {ledger_path()} ({sweeps} sweeps recorded)")
     from repro.harness.integrity import default_quarantine_dir, quarantined_artifacts
 
     quarantined = quarantined_artifacts()
@@ -1017,11 +884,7 @@ def _run_search(args):
 
 
 def cmd_scenarios_search(args) -> int:
-    try:
-        outcome = _run_search(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    outcome = _run_search(args)
     if args.json or args.out:
         payload = {
             "seed": args.seed,
@@ -1080,11 +943,7 @@ def cmd_scenarios_promote(args) -> int:
     if args.top_k < 1:
         print("error: --top-k must be >= 1", file=sys.stderr)
         return 2
-    try:
-        outcome = _run_search(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    outcome = _run_search(args)
     chosen = promoted_from_search(
         outcome, top_k=args.top_k, name_prefix=args.prefix
     )
@@ -1092,11 +951,7 @@ def cmd_scenarios_promote(args) -> int:
         _emit_json([scenario.to_json() for scenario in chosen], None)
         return 0
     path = Path(args.path) if args.path else None
-    try:
-        all_promoted = promote(chosen, path=path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    all_promoted = promote(chosen, path=path)
     for scenario in chosen:
         print(f"promoted {scenario.name}: {scenario.description}")
     print(f"fixture: {path or PROMOTED_PATH} "
@@ -1114,30 +969,11 @@ def cmd_serve(args) -> int:
 
     from repro.serve import ReproService, run_service
 
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.batch_max < 1:
-        print("error: --batch-max must be >= 1", file=sys.stderr)
-        return 2
-    if args.linger < 0:
-        print("error: --linger must be >= 0", file=sys.stderr)
-        return 2
     if args.backend is not None:
-        try:
-            args.backend = resolve_backend_name(args.backend)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+        args.backend = resolve_backend_name(args.backend)
     if args.retry_max < 1:
-        print("error: --retry-max must be >= 1", file=sys.stderr)
-        return 2
-    if args.batch_timeout is not None and args.batch_timeout <= 0:
-        print("error: --batch-timeout must be positive", file=sys.stderr)
-        return 2
-    if args.max_queue_depth is not None and args.max_queue_depth < 1:
-        print("error: --max-queue-depth must be >= 1", file=sys.stderr)
-        return 2
+        # Without --batch-timeout no RetryPolicy is built to reject it.
+        raise ValueError("--retry-max must be >= 1")
     retry = None
     if args.retry_max > 1 or args.batch_timeout is not None:
         retry = RetryPolicy(
@@ -1188,15 +1024,8 @@ def cmd_worker(args) -> int:
 
     from repro.harness.distributed import WorkerServer, run_worker
 
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
     if args.backend is not None:
-        try:
-            args.backend = resolve_backend_name(args.backend)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+        args.backend = resolve_backend_name(args.backend)
     server = WorkerServer(
         host=args.host,
         port=args.port,
@@ -1406,40 +1235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out", help="write JSON here instead of stdout")
     p_rep.set_defaults(func=cmd_reproduce)
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="measure simulator throughput (cycles/sec) on the pinned workload matrix",
-    )
-    p_bench.add_argument("--quick", action="store_true",
-                         help="run the small smoke matrix (CI-sized, a few seconds)")
-    p_bench.add_argument("-b", "--benchmarks", nargs="+", metavar="BENCH",
-                         help="override the pinned benchmark list (names or selectors)")
-    p_bench.add_argument("-s", "--schedulers", nargs="+", metavar="SCHED",
-                         help="override the pinned scheduler list")
-    p_bench.add_argument("--scale", type=float, default=None,
-                         help="override the pinned workload scale")
-    p_bench.add_argument("--seed", type=int, default=1,
-                         help="workload RNG seed (default 1)")
-    p_bench.add_argument("--backend", default=None, metavar="NAME",
-                         help="execution engine to measure, one of: "
-                              f"{', '.join(backend_names())} "
-                              "(default: REPRO_BACKEND or 'reference')")
-    p_bench.add_argument("--repeat", type=int, default=1, metavar="N",
-                         help="time each case N times and keep the best (default 1)")
-    p_bench.add_argument("--out", default=".", metavar="DIR",
-                         help="directory for the BENCH_<rev>.json report (default: .)")
-    p_bench.add_argument("--no-write", action="store_true",
-                         help="skip writing the BENCH_<rev>.json report")
-    p_bench.add_argument("--baseline", metavar="PATH",
-                         help="compare against a baseline BENCH_*.json; exit 1 when "
-                              "cycles/sec regressed beyond --tolerance")
-    p_bench.add_argument("--tolerance", type=float, default=0.30, metavar="FRAC",
-                         help="allowed fractional cycles/sec regression vs the "
-                              "baseline (default 0.30)")
-    p_bench.add_argument("--json", action="store_true",
-                         help="emit the report (plus any regressions) as JSON")
-    p_bench.set_defaults(func=cmd_bench)
-
     from repro.scenarios.generator import DEFAULT_STAGGER_SPAN
 
     p_scn = sub.add_parser(
@@ -1648,8 +1443,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # Configuration validation (REPRO_WORKERS, worker rosters, wire
-        # forms): one clear line naming the offending knob, not a traceback.
+        # Usage errors from every command (flags, tenant specs, worker
+        # rosters, wire forms): one clear line, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BackendUnavailableError as exc:

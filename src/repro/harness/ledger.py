@@ -58,9 +58,9 @@ def append_entry(
 
     Returns the path written, or ``None`` when recording is disabled or the
     write failed.  An explicit ``path`` bypasses the enable/disable
-    environment check.  Used by :func:`record_sweep` and by the bench
-    harness (:mod:`repro.harness.bench`), which stamps its entries with
-    ``"kind": "bench"``.  ``fsync`` syncs the line to stable storage;
+    environment check.  Used by :func:`record_sweep` and by the writers of
+    the other row kinds (see :func:`is_sweep`).  ``fsync`` syncs the line
+    to stable storage;
     ``None`` defers to the opt-in ``REPRO_FSYNC`` knob
     (:func:`repro.harness.integrity.fsync_enabled`).
     """
@@ -79,6 +79,17 @@ def append_entry(
     except OSError:
         return None
     return path
+
+
+def is_sweep(entry: dict) -> bool:
+    """Whether a ledger row describes a sweep.
+
+    Sweep rows carry no ``kind`` (or ``"kind": "sweep"``).  Every other row
+    names its writer: ``serve`` (a ``repro serve`` session at drain time),
+    ``audit`` (a worker whose results failed verification), and ``bench``
+    (throughput runs of an older release, still present in old ledgers).
+    """
+    return entry.get("kind", "sweep") == "sweep"
 
 
 def keys_digest(keys: Iterable[str]) -> str:
@@ -174,11 +185,10 @@ def merge_ledger_entries(groups: Iterable[Iterable[dict]]) -> list[dict]:
     Distributed sweeps merge ledger rows from many machines, and a
     coordinator retry can deliver the *same* shard row twice — historically
     :func:`summarize_ledger` then double-counted that machine's sweep.
-    Rows are deduplicated by their content identity: ``(kind,
-    keys_digest)`` for sweep rows that carry one, ``(kind, rev, case
-    fingerprint)`` for bench rows.  Rows with no identity (legacy sweep
-    rows, serve drain rows) are kept verbatim — they describe sessions, not
-    re-mergeable work units.
+    Rows are deduplicated by their content identity, ``(kind,
+    keys_digest)``, which sweep rows carry.  Rows with no identity (legacy
+    sweep rows, serve drain rows) are kept verbatim — they describe
+    sessions, not re-mergeable work units.
     """
     merged: list[dict] = []
     seen: set[tuple] = set()
@@ -186,13 +196,8 @@ def merge_ledger_entries(groups: Iterable[Iterable[dict]]) -> list[dict]:
         for entry in entries:
             if not isinstance(entry, dict):
                 continue
-            kind = entry.get("kind", "sweep")
-            ident: Optional[tuple] = None
             if entry.get("keys_digest"):
-                ident = (kind, entry["keys_digest"])
-            elif kind == "bench" and entry.get("rev"):
-                ident = (kind, entry["rev"], entry.get("ts"))
-            if ident is not None:
+                ident = (entry.get("kind", "sweep"), entry["keys_digest"])
                 if ident in seen:
                     continue
                 seen.add(ident)
@@ -203,20 +208,18 @@ def merge_ledger_entries(groups: Iterable[Iterable[dict]]) -> list[dict]:
 def summarize_ledger(entries: list[dict]) -> dict:
     """Aggregate ledger entries into the warm-vs-cold trajectory summary.
 
-    A sweep counts as *cold* when it simulated every job (no cache hits) and
-    *warm* when at least half its jobs were served from the cache.  Bench
-    entries (``"kind": "bench"``, written by ``repro bench``) are summarised
-    separately as the simulator-throughput trajectory, and serve entries
-    (``"kind": "serve"``, written by ``repro serve`` at drain time) as the
-    service-traffic trajectory (requests, hit/coalesce/execute split).
-    Audit rows (``"kind": "audit"``, written by the distributed
-    coordinator when a worker's results fail verification) are counted but
-    never aggregated as sweeps.
+    Only sweep rows (:func:`is_sweep`) are aggregated as sweeps.  A sweep
+    counts as *cold* when it simulated every job (no cache hits) and *warm*
+    when at least half its jobs were served from the cache.  Serve entries
+    (``"kind": "serve"``, written by ``repro serve`` at drain time) are
+    summarised separately as the service-traffic trajectory (requests,
+    hit/coalesce/execute split), and audit rows (``"kind": "audit"``,
+    written by the distributed coordinator when a worker's results fail
+    verification) are counted.
     """
-    bench = [e for e in entries if e.get("kind") == "bench"]
     serve = [e for e in entries if e.get("kind") == "serve"]
     audits = [e for e in entries if e.get("kind") == "audit"]
-    entries = [e for e in entries if e.get("kind") not in ("bench", "serve", "audit")]
+    entries = [e for e in entries if is_sweep(e)]
     total_jobs = sum(e.get("jobs", 0) for e in entries)
     total_hits = sum(e.get("cache_hits", 0) for e in entries)
     cold = [e for e in entries if e.get("jobs") and not e.get("cache_hits")]
@@ -235,7 +238,6 @@ def summarize_ledger(entries: list[dict]) -> dict:
             name = name.strip()
             if name:
                 by_backend[name] = by_backend.get(name, 0) + 1
-    bench_cps = [e.get("cycles_per_second", 0.0) for e in bench]
     return {
         "sweeps": len(entries),
         "jobs": total_jobs,
@@ -256,11 +258,6 @@ def summarize_ledger(entries: list[dict]) -> dict:
         "mean_cold_wall_seconds": _mean_wall(cold),
         "mean_warm_wall_seconds": _mean_wall(warm),
         "sweeps_by_backend": by_backend,
-        # -- simulator-throughput trajectory (repro bench) -----------------
-        "bench_runs": len(bench),
-        "bench_latest_cycles_per_second": bench_cps[-1] if bench_cps else 0.0,
-        "bench_best_cycles_per_second": max(bench_cps) if bench_cps else 0.0,
-        "bench_latest_rev": str(bench[-1].get("rev", "")) if bench else "",
         # -- service-traffic trajectory (repro serve drain rows) -----------
         "serve_sessions": len(serve),
         "serve_requests": sum(e.get("requests", 0) for e in serve),

@@ -306,8 +306,8 @@ class ReproService(Daemon):
         payload["quarantined"] = (
             self.cache.stats.quarantined if self.cache is not None else 0
         )
-        # Per-backend throughput across sessions comes from the same
-        # append-only ledger repro bench and the sweep engine feed.
+        # Sweep and service history across sessions comes from the
+        # append-only ledger that the sweep engine and drained services feed.
         payload["ledger"] = summarize_ledger(read_ledger())
         return payload
 

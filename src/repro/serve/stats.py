@@ -20,8 +20,8 @@ CI serve-smoke job both assert the invariant after mixed traffic.
 
 At drain time :meth:`ledger_entry` renders the counters as one bench-ledger
 row (``"kind": "serve"``, see :mod:`repro.harness.ledger`), so service
-traffic lands in the same append-only trajectory as sweeps and bench runs
-and shows up in ``repro cache stats``.
+traffic lands in the same append-only trajectory as sweeps and shows up in
+``repro cache stats``.
 """
 
 from __future__ import annotations

@@ -171,13 +171,63 @@ class TestCacheStats:
         # be omitted, not crash on an empty row list.
         assert "most recent sweeps" not in out
 
+    def test_only_sweep_rows_count_as_sweeps(self, monkeypatch, tmp_path, capsys):
+        # Serve sessions, worker audits and the bench rows of older
+        # releases share the ledger; none of them is a sweep.
+        path = tmp_path / "ledger.jsonl"
+        rows = [
+            {"ts": 1.0, "jobs": 3, "cache_hits": 0, "executed": 3, "workers": 2,
+             "wall_seconds": 1.5, "cache_hit_rate": 0.0, "backend": "vector"},
+            {"kind": "serve", "ts": 2.0, "requests": 5, "hits": 1,
+             "coalesced": 1, "executed": 3},
+            {"kind": "audit", "ts": 3.0, "worker": "127.0.0.1:9", "key": "k",
+             "verdict": "mismatch", "detail": "digest"},
+            {"kind": "bench", "ts": 4.0, "rev": "abc1234",
+             "cycles_per_second": 1000.0},
+        ]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        monkeypatch.setenv("REPRO_LEDGER_PATH", str(path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(["cache"]) == 0
+        assert "(1 sweeps recorded)" in capsys.readouterr().out
+        assert main(["cache", "stats"]) == 0
+        out = capsys.readouterr().out
+        assert "sweeps          : 1 (1 cold, 0 warm)" in out
+        table = out.split("most recent sweeps:")[1].strip().splitlines()
+        assert len(table) == 3  # header, rule and the one sweep
+
+
+#: Usage errors, each reported by ``main()`` as one ``error:`` line, exit 2.
+BAD_KNOBS = [
+    ["serve", "--workers", "0"],
+    ["serve", "--batch-max", "0"],
+    ["serve", "--linger", "-1"],
+    ["serve", "--backend", "not-a-backend"],
+    ["serve", "--retry-max", "0"],
+    ["serve", "--batch-timeout", "0"],
+    ["serve", "--max-queue-depth", "0"],
+    ["worker", "--workers", "0"],
+    ["worker", "--backend", "not-a-backend"],
+    ["sweep", "-b", "ATAX", "-s", "gto", "--chaos", "7"],
+    ["sweep", "-b", "ATAX", "-s", "gto", "--max-attempts", "0"],
+    ["sweep", "-b", "ATAX", "-s", "gto", "--timeout", "0"],
+    ["sweep", "-b", "ATAX", "-s", "gto", "--workers-at", "127.0.0.1:9",
+     "--chunk-size", "0"],
+    ["sweep", "-b", "ATAX", "-s", "gto", "--workers-at", "127.0.0.1:9",
+     "--worker-roster", "roster.json"],
+    ["run", "--tenants", "ATAX:1-0"],
+    ["scenarios", "search", "--restarts", "0"],
+    ["scenarios", "promote", "--restarts", "0", "--dry-run"],
+]
+
 
 class TestServeCli:
     def test_serve_rejects_bad_knobs(self, capsys):
-        assert main(["serve", "--workers", "0"]) == 2
-        assert main(["serve", "--batch-max", "0"]) == 2
-        assert main(["serve", "--linger", "-1"]) == 2
-        assert main(["serve", "--backend", "not-a-backend"]) == 2
+        for argv in BAD_KNOBS:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and err.startswith("error:"), (argv, err)
+            assert "Traceback" not in err, argv
 
     def test_submit_connection_refused_is_clean(self, capsys):
         # Nothing listens on this port: the client must fail with rc 1 and

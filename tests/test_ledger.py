@@ -161,7 +161,11 @@ class TestMergeDedup:
         assert merged == [legacy, serve, legacy]
 
     def test_bench_rows_dedup_by_rev_and_ts(self):
+        # Bench rows of older releases were once deduplicated by (rev, ts).
+        # Their writer is gone, so they carry no identity: even a repeated
+        # (rev, ts) is kept verbatim, and no bench row counts as a sweep.
         bench = {"kind": "bench", "rev": "abc123", "ts": 1.0, "best_sps": 5.0}
         merged = merge_ledger_entries([[bench], [dict(bench)],
                                        [{**bench, "ts": 2.0}]])
-        assert merged == [bench, {**bench, "ts": 2.0}]
+        assert merged == [bench, bench, {**bench, "ts": 2.0}]
+        assert summarize_ledger(merged)["sweeps"] == 0
