@@ -158,13 +158,9 @@ def materialize_tenants(request: "MultiTenantRequest"):
             num_ctas=config.num_ctas,
             warps_per_cta=config.warps_per_cta,
         )
-        kernel = model.kernel_launch()
         kernel = replace(
-            kernel,
+            isolate_address_space(model.kernel_launch(), tenant.address_space),
             tenant=tenant.name,
-            stream_factory=isolate_address_space(
-                kernel.stream_factory, tenant.address_space
-            ),
         )
         plans.append(
             TenantPlan(

@@ -3,7 +3,9 @@
 A :class:`KernelLaunch` describes everything an SM needs to start running a
 workload: how many CTAs, how many warps per CTA, how much shared memory each
 CTA allocates (the paper's ``Fsmem`` column in Table II), and a factory that
-produces each warp's instruction stream.
+produces each warp's instruction stream.  A synthetic workload launch also
+carries the same streams as compact ops, which the vector engine packs into
+its trace tables without building an :class:`Instruction` per access.
 
 A :class:`CTA` groups its warps for barrier semantics: a ``BARRIER``
 instruction parks the issuing warp until every unfinished warp of the CTA
@@ -21,6 +23,16 @@ from repro.gpu.warp import Warp
 #: Factory signature: (cta_index, warp_index_within_cta, global_warp_id) -> stream.
 WarpStreamFactory = Callable[[int, int, int], Iterator[Instruction]]
 
+#: One warp instruction as a workload draws it: ``(kind code, payload)``, the
+#: code from :data:`~repro.gpu.instruction.KIND_CODE`.  The payload of a
+#: global access is the tuple of 128-byte block numbers it drew (duplicates
+#: kept; lane ``i`` reads block ``i mod len``), of a scratchpad access its
+#: per-lane byte offsets, and ``()`` otherwise.
+WarpOp = tuple[int, tuple[int, ...]]
+
+#: Op factory signature: (cta_index, warp_index_within_cta) -> ops.
+WarpOpFactory = Callable[[int, int], Iterator[WarpOp]]
+
 
 @dataclass
 class KernelLaunch:
@@ -37,6 +49,9 @@ class KernelLaunch:
     #: Tenant label when the launch belongs to a co-located (multi-tenant)
     #: simulation; ``None`` for whole-GPU launches.
     tenant: Optional[str] = None
+    #: The streams of ``stream_factory`` as ops, for launches that can be
+    #: traced (synthetic workloads); ``None`` for hand-built streams.
+    op_factory: Optional[WarpOpFactory] = None
 
     def total_warps(self) -> int:
         """Total warps launched across all CTAs."""

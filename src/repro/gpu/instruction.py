@@ -35,6 +35,14 @@ class InstructionKind(enum.Enum):
     EXIT = "exit"
 
 
+#: Compact kind codes, in declaration order (ALU 0 ... EXIT 6): the first
+#: field of a workload op (:data:`repro.gpu.cta.WarpOp`) and the entries of a
+#: trace's ``kind_codes``.
+KIND_CODE = {kind: code for code, kind in enumerate(InstructionKind)}
+
+#: Lanes per warp instruction.
+WARP_LANES = 32
+
 #: Kinds that access global memory through the L1D (or CIAO's shared cache).
 GLOBAL_MEMORY_KINDS = frozenset({InstructionKind.LOAD, InstructionKind.STORE})
 

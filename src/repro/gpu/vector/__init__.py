@@ -7,10 +7,11 @@ hottest per-warp/per-cycle bookkeeping with tables precomputed once per
 kernel, in pure stdlib Python:
 
 * :mod:`repro.gpu.vector.trace` — workload instruction streams are
-  *extracted once* per kernel identity into compact tables (instruction
-  kinds, latency-1 ALU run ends, pre-coalesced blocks per global access,
-  and per-geometry set indices), then interned so every request for the
-  same kernel replays the same tables.
+  *packed once* per kernel identity, straight from the workload's ops,
+  into compact tables (instruction kinds, latency-1 ALU run ends,
+  pre-coalesced blocks per global access, and per-geometry set indices),
+  then interned so every request for the same kernel replays the same
+  tables.
 * :mod:`repro.gpu.vector.engine` — :class:`VectorSM` drives the same warp
   list, schedulers, caches and memory subsystem as the reference SM, but
   replays the trace, runs the global-memory path against the pre-coalesced,

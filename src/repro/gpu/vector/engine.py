@@ -59,19 +59,14 @@ from typing import Mapping, Optional
 
 from repro.gpu.cta import KernelLaunch
 from repro.gpu.gpu import GPU, SimulationResult
-from repro.gpu.instruction import InstructionKind
+from repro.gpu.instruction import KIND_CODE, InstructionKind
 from repro.gpu.sm import StreamingMultiprocessor
 from repro.gpu.stats import SMStats
-from repro.gpu.vector.trace import KIND_CODE, KernelTrace
+from repro.gpu.vector.trace import KernelTrace
 from repro.mem.mshr import MSHRTarget
 
 _K_STORE = InstructionKind.STORE
-_C_LOAD = KIND_CODE[InstructionKind.LOAD]
-_C_STORE = KIND_CODE[InstructionKind.STORE]
-_C_SHARED_LOAD = KIND_CODE[InstructionKind.SHARED_LOAD]
-_C_SHARED_STORE = KIND_CODE[InstructionKind.SHARED_STORE]
-_C_BARRIER = KIND_CODE[InstructionKind.BARRIER]
-_C_EXIT = KIND_CODE[InstructionKind.EXIT]
+_, _C_LOAD, _C_STORE, _C_SHARED_LOAD, _C_SHARED_STORE, _C_BARRIER, _C_EXIT = KIND_CODE.values()
 
 
 class VectorSM(StreamingMultiprocessor):

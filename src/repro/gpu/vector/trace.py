@@ -3,7 +3,7 @@
 The reference engine consumes each warp's instruction stream lazily from a
 Python generator (RNG draws, pattern iterators and ``Instruction``
 construction interleaved with simulation).  The vector engine instead
-*extracts* each warp's stream exactly once into compact stdlib tables:
+*packs* each warp's stream exactly once into compact stdlib tables:
 
 * ``kind_codes`` — per-instruction kind codes (``bytes``);
 * ``sticky_end`` — for every instruction index, the first index at or after
@@ -13,17 +13,20 @@ construction interleaved with simulation).  The vector engine instead
   accesses of its class, indexing the tables below;
 * the *pre-coalesced* memory transactions: per global load or store, the
   distinct 128-byte blocks in first-appearance order (exactly
-  ``Coalescer.coalesce``'s output) plus the lane count, so the per-issue
-  coalescing dictionary work disappears.  The per-lane addresses are not
-  kept (they would be most of a trace's bytes): the replayed instruction of
-  a global access is a shared per-kind stand-in (:data:`REPLAYED_ACCESS`);
+  ``Coalescer.coalesce``'s output over the lane addresses) plus the lane
+  count, so the per-issue coalescing dictionary work disappears;
+* ``shared_addrs`` — per scratchpad access, its per-lane offsets;
 * per-cache-geometry set indices for every transaction, computed once with
   the same set hash the cache applies per probe.
 
-Extraction replays the *same* generator the reference engine would consume,
-so the tables are bit-faithful by construction; the cost is paid once per
-kernel identity and interned in a small LRU (:func:`kernel_trace_for_model`),
-so every request over that kernel in the process shares it.
+Packing reads the launch's ops (:data:`repro.gpu.cta.WarpOp`): the stream
+the workload generator draws, of which the reference engine's instructions
+are a lane-expanded view.  A global op already carries its drawn block
+numbers, so no per-lane address or :class:`Instruction` is built for an
+access; the replayed instruction of an access is a shared per-kind
+stand-in (:data:`REPLAYED`).  The cost is paid once per kernel identity
+and interned in a small LRU (:func:`kernel_trace_for_model`), so every
+request over that kernel in the process shares it.
 
 Traces are keyed by everything the stream depends on — benchmark spec,
 scale, seed and launch geometry — and deliberately *not* by the machine
@@ -38,40 +41,27 @@ from array import array
 from collections import OrderedDict
 from typing import Callable, Optional
 
-from repro.gpu.cta import KernelLaunch
-from repro.gpu.instruction import Instruction, InstructionKind
-from repro.mem.address import BLOCK_SIZE
+from repro.gpu.cta import KernelLaunch, WarpOp
+from repro.gpu.instruction import KIND_CODE, WARP_LANES, Instruction
 from repro.mem.hashing import get_set_hash, specialize_set_hash
 
-#: Compact instruction-kind codes used by the trace tables.
-KIND_CODE = {
-    InstructionKind.ALU: 0,
-    InstructionKind.LOAD: 1,
-    InstructionKind.STORE: 2,
-    InstructionKind.SHARED_LOAD: 3,
-    InstructionKind.SHARED_STORE: 4,
-    InstructionKind.BARRIER: 5,
-    InstructionKind.EXIT: 6,
-}
+_C_ALU, _, _C_STORE, _, _C_SHARED_STORE, _, _C_EXIT = KIND_CODE.values()
 
-_K_ALU = InstructionKind.ALU
-_K_LOAD = InstructionKind.LOAD
-_K_STORE = InstructionKind.STORE
-_K_SHARED_LOAD = InstructionKind.SHARED_LOAD
-_K_SHARED_STORE = InstructionKind.SHARED_STORE
-
-#: What a trace replays for a global load or store: one shared instruction
-#: per kind.  The access itself lives in the trace's tables; the stand-in's
-#: only address is -1, which the coalescer rejects, so a replayed access can
-#: never slip into the reference memory path with a made-up address.
-REPLAYED_ACCESS = {
-    _K_LOAD: Instruction(_K_LOAD, (-1,)),
-    _K_STORE: Instruction(_K_STORE, (-1,)),
-}
+#: What a trace replays, by kind code: the interned ALU, barrier and exit
+#: instructions, and one shared stand-in per access kind.  The access itself
+#: lives in the trace's tables; a stand-in's only address is -1, which the
+#: coalescer rejects, so a replayed global access can never slip into the
+#: reference memory path with a made-up address.
+REPLAYED = (
+    Instruction.alu(),
+    *[Instruction(kind, (-1,)) for kind in list(KIND_CODE)[_C_ALU + 1 : _C_SHARED_STORE + 1]],
+    Instruction.barrier(),
+    Instruction.exit(),
+)
 
 
 class WarpTrace:
-    """One warp's fully-extracted instruction stream (see module docstring)."""
+    """One warp's fully-packed instruction stream (see module docstring)."""
 
     __slots__ = (
         "instructions",
@@ -85,57 +75,43 @@ class WarpTrace:
         "_shared_costs",
     )
 
-    def __init__(self, instructions: list[Instruction]) -> None:
-        if not instructions or instructions[-1].kind is not InstructionKind.EXIT:
+    def __init__(self, ops: list[WarpOp]) -> None:
+        if not ops or ops[-1][0] != _C_EXIT:
             # The reference engine synthesises EXIT when a stream runs dry;
-            # making it explicit here is behaviourally identical (peek()
-            # hands out the same interned singleton) and guarantees the
-            # tables cover every index the engine can reach.
-            instructions = [*instructions, Instruction.exit()]
-        n = len(instructions)
-        kind_code = KIND_CODE
-        codes = bytearray(n)
-        # Every instruction ends its own run until the pass below marks it
-        # sticky (a latency-1 ALU instruction, flagged with ``n``).
-        sticky_end = array("i", range(n))
-        access_index = array("i", [-1]) * n
+            # an explicit one makes the tables cover every reachable index.
+            ops = [*ops, (_C_EXIT, ())]
+        codes = bytes([op[0] for op in ops])
+        n = len(codes)
+        # Every instruction ends its own run; a run of ALU instructions (all
+        # latency 1) ends at the next other instruction (EXIT at the latest).
+        sticky_end = list(range(n))
+        access_index = [-1] * n
         mem_blocks: list[tuple[int, ...]] = []
-        mem_lanes = array("i")
         shared_addrs: list[tuple[int, ...]] = []
-        replayed = list(instructions)
-        for position, instruction in enumerate(instructions):
-            kind = instruction.kind
-            codes[position] = kind_code[kind]
-            if kind is _K_ALU:
-                if instruction.latency == 1:
-                    sticky_end[position] = n
-            elif kind is _K_LOAD or kind is _K_STORE:
-                addresses = instruction.addresses
-                if min(addresses) < 0:
-                    raise ValueError("memory addresses must be non-negative")
+        run_start = 0
+        for position, (code, payload) in enumerate(ops):
+            if code == _C_ALU:
+                continue
+            if run_start < position:
+                sticky_end[run_start:position] = [position] * (position - run_start)
+            run_start = position + 1
+            if code <= _C_STORE:
                 access_index[position] = len(mem_blocks)
+                # Lanes cycle over the drawn blocks, so the coalescer's
+                # distinct blocks are the draws, deduplicated in
+                # first-appearance order.
                 mem_blocks.append(
-                    tuple(dict.fromkeys([a // BLOCK_SIZE for a in addresses]))
+                    payload if len(payload) == 1 else tuple(dict.fromkeys(payload))
                 )
-                mem_lanes.append(len(addresses))
-                replayed[position] = REPLAYED_ACCESS[kind]
-            elif kind is _K_SHARED_LOAD or kind is _K_SHARED_STORE:
+            elif code <= _C_SHARED_STORE:
                 access_index[position] = len(shared_addrs)
-                shared_addrs.append(instruction.addresses)
-        # A sticky run ends at the next non-sticky instruction (the trailing
-        # EXIT at the latest).
-        run_end = n
-        for position in range(n - 1, -1, -1):
-            if sticky_end[position] == n:
-                sticky_end[position] = run_end
-            else:
-                run_end = position
-        self.instructions = replayed
-        self.kind_codes = bytes(codes)
-        self.sticky_end = sticky_end
-        self.access_index = access_index
+                shared_addrs.append(payload)
+        self.instructions = [REPLAYED[code] for code in codes]
+        self.kind_codes = codes
+        self.sticky_end = array("i", sticky_end)
+        self.access_index = array("i", access_index)
         self.mem_blocks = mem_blocks
-        self.mem_lanes = mem_lanes
+        self.mem_lanes = array("i", [WARP_LANES]) * len(mem_blocks)
         self.shared_addrs = shared_addrs
         self._sets_by_geometry: dict[tuple, list[tuple[int, ...]]] = {}
         self._shared_costs: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
@@ -198,27 +174,25 @@ class WarpTrace:
 class KernelTrace:
     """Lazily-extracted per-(CTA, warp) traces of one kernel launch.
 
-    Extraction runs the launch's own ``stream_factory`` — the exact
-    generator the reference engine would consume — so replay is bit-faithful.
-    Streams are extracted on first use (a cycle-budget-truncated run never
-    pays for warps it does not admit) and memoised for the lifetime of the
-    trace: the intern cache shares a single-kernel trace across requests,
-    while a co-located tenant's trace is built per job and shared by the
-    tenant's SMs.
+    Extraction packs the launch's ``op_factory`` — the ops its
+    ``stream_factory``, the reference engine's input, expands — so replay
+    is bit-faithful.  Streams are extracted on first use (a
+    cycle-budget-truncated run never pays for warps it does not admit) and
+    memoised for the lifetime of the trace: the intern cache shares a
+    single-kernel trace across requests, while a co-located tenant's trace
+    is built per job and shared by the tenant's SMs.
 
     The engines only materialise synthetic workload kernels (address-isolated
-    ones included), whose streams depend on ``(cta_index, warp_index)`` but
-    not on the physical warp slot; extraction passes slot 0 and the engine
-    replays the trace on whatever slot the admission logic assigns (matching
-    the reference engine, where the slot does not influence the stream
-    either).
+    ones included), whose ops depend on ``(cta_index, warp_index)`` but not
+    on the physical warp slot, so the engine replays a trace on whatever
+    slot the admission logic assigns (matching the reference engine, where
+    the slot does not influence the stream either).
     """
 
     def __init__(self, kernel: KernelLaunch) -> None:
-        self.name = kernel.name
-        self.num_ctas = kernel.num_ctas
-        self.warps_per_cta = kernel.warps_per_cta
-        self._stream_factory = kernel.stream_factory
+        if kernel.op_factory is None:
+            raise ValueError(f"kernel {kernel.name!r} has no ops to trace")
+        self._op_factory = kernel.op_factory
         self._warps: dict[tuple[int, int], WarpTrace] = {}
 
     def warp(self, cta_index: int, warp_index: int) -> WarpTrace:
@@ -226,8 +200,7 @@ class KernelTrace:
         key = (cta_index, warp_index)
         trace = self._warps.get(key)
         if trace is None:
-            stream = self._stream_factory(cta_index, warp_index, 0)
-            trace = WarpTrace(list(stream))
+            trace = WarpTrace(list(self._op_factory(cta_index, warp_index)))
             self._warps[key] = trace
         return trace
 

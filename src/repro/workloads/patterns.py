@@ -10,16 +10,17 @@ set of archetypal GPU memory behaviours:
   lost locality) if another warp's accesses did.
 * :func:`streaming_accesses` -- a warp walks a large array once, no reuse.
   Streaming warps are classic cache polluters.
-* :func:`strided_conflict_accesses` -- large power-of-two strides that
-  concentrate on a few cache sets, the worst-case interference generator.
 * :func:`irregular_accesses` -- pseudo-random accesses within a footprint
-  with a configurable number of distinct blocks per instruction (memory
-  divergence), modelling index-driven kernels such as KMN / Kmeans / II.
+  with a configurable number of blocks per instruction (memory divergence),
+  modelling index-driven kernels such as KMN / Kmeans / II.
 * :func:`stencil_accesses` -- neighbouring rows re-referenced a few times,
   modelling the Rodinia stencil codes (Hotspot, NW, 2DCONV).
 
-All helpers yield lists of per-lane byte addresses (one list per memory
-instruction) and are deterministic given their ``random.Random`` instance.
+All helpers take and yield 128-byte *block numbers*: one tuple per memory
+instruction, holding one block for a coalesced access and the drawn blocks
+(duplicates kept) for a divergent one.  They are deterministic given their
+``random.Random`` instance.  :func:`lane_addresses` expands a tuple into the
+instruction's per-lane byte addresses.
 """
 
 from __future__ import annotations
@@ -27,28 +28,26 @@ from __future__ import annotations
 import random
 from typing import Iterator, Sequence
 
+from repro.gpu.instruction import WARP_LANES
 from repro.mem.address import BLOCK_SIZE
 
-#: Lanes per warp; address lists model a fully-coalesced warp access by
-#: emitting lane addresses within one 128-byte block.
-WARP_LANES = 32
-_LANE_STRIDE = BLOCK_SIZE // WARP_LANES  # 4 bytes per lane
+#: Byte offset of each lane's word within its block (4-byte words).
+_LANE_OFFSETS = tuple(lane * BLOCK_SIZE // WARP_LANES % BLOCK_SIZE for lane in range(WARP_LANES))
 
 
-def _coalesced(block_byte_base: int) -> list[int]:
-    """Per-lane addresses of a fully coalesced access to one 128-byte block."""
-    return [block_byte_base + lane * _LANE_STRIDE for lane in range(WARP_LANES)]
+def lane_addresses(blocks: Sequence[int]) -> tuple[int, ...]:
+    """Per-lane byte addresses of one access to ``blocks``.
 
-
-def _divergent(block_bases: Sequence[int]) -> list[int]:
-    """Per-lane addresses spread over several blocks (memory divergence)."""
-    if not block_bases:
-        raise ValueError("divergent access needs at least one block")
-    lanes: list[int] = []
-    for lane in range(WARP_LANES):
-        base = block_bases[lane % len(block_bases)]
-        lanes.append(base + (lane * _LANE_STRIDE) % BLOCK_SIZE)
-    return lanes
+    Lane ``i`` reads word ``i`` of block ``blocks[i % len(blocks)]``, so a
+    one-block access is fully coalesced and a ``k``-block access spreads
+    over exactly its ``k`` blocks (memory divergence).
+    """
+    count = len(blocks)
+    if not 1 <= count <= WARP_LANES:
+        raise ValueError(f"an access touches 1..{WARP_LANES} blocks, not {count}")
+    return tuple(
+        [blocks[lane % count] * BLOCK_SIZE + offset for lane, offset in enumerate(_LANE_OFFSETS)]
+    )
 
 
 def tiled_reuse_accesses(
@@ -57,10 +56,10 @@ def tiled_reuse_accesses(
     *,
     chunk_blocks: int = 4,
     chunk_repeats: int = 3,
-) -> Iterator[list[int]]:
+) -> Iterator[tuple[int, ...]]:
     """Yield accesses over a tile with short-reuse-distance chunks.
 
-    The tile (``tile_blocks`` 128-byte blocks starting at ``tile_base``) is
+    The tile (``tile_blocks`` blocks starting at block ``tile_base``) is
     walked chunk by chunk; each chunk of ``chunk_blocks`` blocks is swept
     ``chunk_repeats`` times before moving on, then the walk wraps around the
     tile forever.  Reuse distance within a chunk is at most ``chunk_blocks``
@@ -73,16 +72,14 @@ def tiled_reuse_accesses(
     chunk_starts = list(range(0, tile_blocks, chunk_blocks))
     while True:
         for start in chunk_starts:
-            chunk = [
-                tile_base + ((start + offset) % tile_blocks) * BLOCK_SIZE
-                for offset in range(chunk_blocks)
-            ]
+            chunk = [(tile_base + (start + offset) % tile_blocks,) for offset in range(chunk_blocks)]
             for _ in range(max(1, chunk_repeats)):
-                for block_byte in chunk:
-                    yield _coalesced(block_byte)
+                yield from chunk
 
 
-def streaming_accesses(base: int, length_blocks: int, *, stride_blocks: int = 1) -> Iterator[list[int]]:
+def streaming_accesses(
+    base: int, length_blocks: int, *, stride_blocks: int = 1
+) -> Iterator[tuple[int, ...]]:
     """Yield a single pass over ``length_blocks`` blocks, then wrap.
 
     Streaming data is touched once per pass, so it has no reuse of its own
@@ -92,34 +89,7 @@ def streaming_accesses(base: int, length_blocks: int, *, stride_blocks: int = 1)
         raise ValueError("stream must cover at least one block")
     index = 0
     while True:
-        block_byte = base + (index % length_blocks) * BLOCK_SIZE * stride_blocks
-        yield _coalesced(block_byte)
-        index += 1
-
-
-def strided_conflict_accesses(
-    base: int,
-    num_sets: int,
-    *,
-    target_sets: int = 4,
-    footprint_blocks: int = 64,
-) -> Iterator[list[int]]:
-    """Yield accesses that concentrate on a handful of cache sets.
-
-    Consecutive accesses step by ``num_sets`` blocks so that (under linear
-    indexing) they all land in the same set; ``target_sets`` adjacent sets
-    are cycled to keep the pattern from being a pure single-set ping-pong.
-    XOR hashing spreads these somewhat, as on the real device, but the
-    pressure per set remains far above average.
-    """
-    if footprint_blocks <= 0:
-        raise ValueError("footprint must contain at least one block")
-    index = 0
-    while True:
-        way = index % footprint_blocks
-        set_offset = index % max(1, target_sets)
-        block = way * num_sets + set_offset
-        yield _coalesced(base + block * BLOCK_SIZE)
+        yield (base + (index % length_blocks) * stride_blocks,)
         index += 1
 
 
@@ -131,26 +101,28 @@ def irregular_accesses(
     blocks_per_access: int = 2,
     hot_fraction: float = 0.2,
     hot_blocks: int = 32,
-) -> Iterator[list[int]]:
+) -> Iterator[tuple[int, ...]]:
     """Yield divergent, pseudo-random accesses within a footprint.
 
     ``hot_fraction`` of the accesses go to a small hot region (the index /
     centroid arrays of KMN / Kmeans), the rest are spread over the whole
-    footprint.  Each access touches ``blocks_per_access`` distinct blocks,
-    modelling intra-warp memory divergence.
+    footprint.  Each access draws ``blocks_per_access`` blocks (1..32, one
+    per lane group), modelling intra-warp memory divergence; two draws may
+    land on the same block.
     """
     if footprint_blocks <= 0:
         raise ValueError("footprint must contain at least one block")
+    if not 1 <= blocks_per_access <= WARP_LANES:
+        raise ValueError(f"blocks_per_access must be within 1..{WARP_LANES}")
     hot_blocks = max(1, min(hot_blocks, footprint_blocks))
+    draw, randrange = rng.random, rng.randrange
     while True:
-        bases: list[int] = []
-        for _ in range(max(1, blocks_per_access)):
-            if rng.random() < hot_fraction:
-                block = rng.randrange(hot_blocks)
-            else:
-                block = rng.randrange(footprint_blocks)
-            bases.append(base + block * BLOCK_SIZE)
-        yield _divergent(bases)
+        yield tuple(
+            [
+                base + (randrange(hot_blocks) if draw() < hot_fraction else randrange(footprint_blocks))
+                for _ in range(blocks_per_access)
+            ]
+        )
 
 
 def stencil_accesses(
@@ -160,7 +132,7 @@ def stencil_accesses(
     *,
     halo_rows: int = 1,
     sweeps: int = 4,
-) -> Iterator[list[int]]:
+) -> Iterator[tuple[int, ...]]:
     """Yield a stencil sweep: each row plus its halo neighbours, repeatedly.
 
     Models the Rodinia stencil kernels (Hotspot, NW, 2DCONV): a warp works
@@ -176,21 +148,4 @@ def stencil_accesses(
                 for col in range(row_blocks):
                     for neighbour in range(-halo_rows, halo_rows + 1):
                         target_row = min(num_rows - 1, max(0, row + neighbour))
-                        block_byte = base + (target_row * row_blocks + col) * BLOCK_SIZE
-                        yield _coalesced(block_byte)
-
-
-def interleave(
-    rng: random.Random,
-    primary: Iterator[list[int]],
-    secondary: Iterator[list[int]],
-    secondary_fraction: float,
-) -> Iterator[list[int]]:
-    """Mix two access streams, drawing from ``secondary`` with a probability."""
-    if not 0.0 <= secondary_fraction <= 1.0:
-        raise ValueError("secondary_fraction must be within [0, 1]")
-    while True:
-        if rng.random() < secondary_fraction:
-            yield next(secondary)
-        else:
-            yield next(primary)
+                        yield (base + target_row * row_blocks + col,)

@@ -24,6 +24,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.gpu.instruction import WARP_LANES
+
 
 class WorkloadClass(enum.Enum):
     """Working-set classification used throughout the evaluation."""
@@ -72,7 +74,8 @@ class ModelParams:
     aggressor_period: int = 4
     #: ... whose tile is this many times larger (more evictions caused).
     aggressor_factor: float = 3.0
-    #: Distinct blocks per irregular access (memory divergence).
+    #: Blocks drawn per irregular access (memory divergence), 1..32: lane
+    #: ``i`` reads the ``i mod divergence``-th drawn block.
     divergence: int = 1
     #: Warp instructions between CTA barriers (0 = no barriers).
     barrier_interval: int = 0
@@ -131,3 +134,5 @@ class BenchmarkSpec:
             raise ValueError("mem_fraction must be a fraction")
         if not 0 <= self.model.stream_fraction <= 1:
             raise ValueError("stream_fraction must be a fraction")
+        if not 1 <= self.model.divergence <= WARP_LANES:
+            raise ValueError(f"divergence must be within 1..{WARP_LANES} blocks")

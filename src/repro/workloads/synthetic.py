@@ -6,6 +6,14 @@ instructions, global loads/stores drawn from the benchmark's access-pattern
 archetype, scratchpad accesses (for benchmarks with ``Fsmem > 0``) and CTA
 barriers.
 
+The stream is drawn once, as compact ops (:data:`repro.gpu.cta.WarpOp`):
+a global access carries the block numbers its pattern drew, a scratchpad
+access its lane offsets.  Both consumers read that one stream: the vector
+engine packs its trace tables straight from the ops, and the reference
+engine reads :func:`instruction_stream`, which expands each op into an
+:class:`Instruction` with per-lane byte addresses
+(:func:`~repro.workloads.patterns.lane_addresses`).
+
 Address-space layout (byte addresses):
 
 * each *logical* warp (CTA index x warps-per-CTA + warp index) owns a
@@ -24,10 +32,11 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Iterator, Optional
+from dataclasses import replace
+from typing import Iterable, Iterator, Optional
 
-from repro.gpu.cta import KernelLaunch, WarpStreamFactory
-from repro.gpu.instruction import Instruction, InstructionKind
+from repro.gpu.cta import KernelLaunch, WarpOp
+from repro.gpu.instruction import KIND_CODE, WARP_LANES, Instruction
 from repro.mem.address import BLOCK_SIZE
 from repro.workloads import patterns
 from repro.workloads.spec import BenchmarkSpec, PatternKind
@@ -53,35 +62,59 @@ STORE_FRACTION = 0.05
 #: sets can never alias.
 TENANT_ADDRESS_STRIDE = 1 << 40
 
+(_C_ALU, _C_LOAD, _C_STORE, _C_SHARED_LOAD, _C_SHARED_STORE, _C_BARRIER, _C_EXIT) = (
+    KIND_CODE.values()
+)
+_KINDS = tuple(KIND_CODE)
+_ALU_OP: WarpOp = (_C_ALU, ())
+_BARRIER_OP: WarpOp = (_C_BARRIER, ())
+_EXIT_OP: WarpOp = (_C_EXIT, ())
+#: The interned instruction of each payload-free op.
+_INTERNED = {_C_ALU: Instruction.alu(), _C_BARRIER: Instruction.barrier(), _C_EXIT: Instruction.exit()}
 
-def isolate_address_space(
-    factory: WarpStreamFactory, address_space: int
-) -> WarpStreamFactory:
-    """Shift a warp-stream factory's *global* addresses into a private space.
+
+def instruction_stream(ops: Iterable[WarpOp]) -> Iterator[Instruction]:
+    """Expand ops into the reference engine's instructions, one per op."""
+    for code, payload in ops:
+        if code == _C_LOAD or code == _C_STORE:
+            yield Instruction(_KINDS[code], patterns.lane_addresses(payload))
+        elif payload:  # a scratchpad access's lane offsets
+            yield Instruction(_KINDS[code], payload)
+        else:
+            yield _INTERNED[code]
+
+
+def isolate_address_space(kernel: KernelLaunch, address_space: int) -> KernelLaunch:
+    """Shift a synthetic launch's *global* accesses into a private space.
 
     Co-located tenants are separate processes: their virtual address spaces
     never alias, so one tenant's DRAM fills must not warm another tenant's
     L2 lines.  ``address_space`` is a small colour; colour 0 returns the
-    factory unchanged (the kernel's natural addresses — what single-kernel
+    launch unchanged (the kernel's natural addresses — what single-kernel
     launches and same-address-space tenants use), any other colour offsets
-    every global LOAD / STORE address by ``colour * TENANT_ADDRESS_STRIDE``.
-    Scratchpad offsets, barriers and ALU instructions pass through untouched.
+    every global LOAD / STORE by ``colour * TENANT_ADDRESS_STRIDE`` bytes,
+    i.e. every drawn block number by that many blocks, in both the ops and
+    the instruction view.  Scratchpad offsets, barriers and ALU
+    instructions pass through untouched.
     """
     if address_space == 0:
-        return factory
-    offset = address_space * TENANT_ADDRESS_STRIDE
+        return kernel
+    shift = address_space * TENANT_ADDRESS_STRIDE // BLOCK_SIZE
+    ops = kernel.op_factory
 
-    def wrapped(cta_index: int, warp_index: int, wid: int) -> Iterator[Instruction]:
-        for instruction in factory(cta_index, warp_index, wid):
-            kind = instruction.kind
-            if kind is InstructionKind.LOAD or kind is InstructionKind.STORE:
-                yield Instruction(
-                    kind, tuple(a + offset for a in instruction.addresses)
-                )
+    def shifted(cta_index: int, warp_index: int) -> Iterator[WarpOp]:
+        for op in ops(cta_index, warp_index):
+            code = op[0]
+            if code == _C_LOAD or code == _C_STORE:
+                yield (code, tuple([block + shift for block in op[1]]))
             else:
-                yield instruction
+                yield op
 
-    return wrapped
+    return replace(
+        kernel,
+        op_factory=shifted,
+        stream_factory=lambda cta, warp, wid: instruction_stream(shifted(cta, warp)),
+    )
 
 
 class SyntheticKernelModel:
@@ -121,6 +154,7 @@ class SyntheticKernelModel:
             warps_per_cta=self.warps_per_cta,
             stream_factory=self._warp_stream,
             shared_mem_per_cta=self.spec.shared_mem_per_cta(),
+            op_factory=self._warp_ops,
         )
 
     # ------------------------------------------------------------------
@@ -141,9 +175,11 @@ class SyntheticKernelModel:
         # Never exceed the per-warp tile region.
         return min(blocks, TILE_STRIDE // BLOCK_SIZE)
 
-    def _reuse_iterator(self, rng: random.Random, logical_index: int) -> Iterator[list[int]]:
+    def _reuse_iterator(
+        self, rng: random.Random, logical_index: int
+    ) -> Iterator[tuple[int, ...]]:
         model = self.spec.model
-        tile_base = TILE_REGION + logical_index * TILE_STRIDE
+        tile_base = (TILE_REGION + logical_index * TILE_STRIDE) // BLOCK_SIZE
         tile_blocks = self._tile_blocks(logical_index)
         if model.pattern in (PatternKind.LINEAR_ALGEBRA, PatternKind.TWO_PHASE):
             return patterns.tiled_reuse_accesses(
@@ -157,7 +193,7 @@ class SyntheticKernelModel:
                 rng,
                 tile_base,
                 tile_blocks,
-                blocks_per_access=max(1, model.divergence),
+                blocks_per_access=model.divergence,
                 hot_fraction=0.35,
                 hot_blocks=max(4, tile_blocks // 4),
             )
@@ -169,29 +205,32 @@ class SyntheticKernelModel:
             )
         raise ValueError(f"unhandled pattern {model.pattern}")
 
-    def _stream_iterator(self, logical_index: int) -> Iterator[list[int]]:
-        stream_base = STREAM_REGION + logical_index * STREAM_STRIDE
+    def _stream_iterator(self, logical_index: int) -> Iterator[tuple[int, ...]]:
+        stream_base = (STREAM_REGION + logical_index * STREAM_STRIDE) // BLOCK_SIZE
         stream_blocks = STREAM_STRIDE // BLOCK_SIZE // 4
         return patterns.streaming_accesses(stream_base, stream_blocks)
 
-    def _hot_iterator(self, rng: random.Random, logical_index: int) -> Optional[Iterator[list[int]]]:
+    def _hot_iterator(
+        self, rng: random.Random, logical_index: int
+    ) -> Optional[Iterator[tuple[int, ...]]]:
         """Cyclic sweep over the shared hot region, phase-shifted per warp."""
         model = self.spec.model
         hot_blocks = int(model.hot_kb * 1024 / BLOCK_SIZE)
         if hot_blocks <= 0:
             return None
         start_block = rng.randrange(hot_blocks)
+        hot_base = HOT_REGION // BLOCK_SIZE
         if model.pattern in (PatternKind.IRREGULAR, PatternKind.MAPREDUCE):
             return patterns.irregular_accesses(
                 rng,
-                HOT_REGION,
+                hot_base,
                 hot_blocks,
-                blocks_per_access=max(1, model.divergence),
+                blocks_per_access=model.divergence,
                 hot_fraction=0.25,
                 hot_blocks=max(4, hot_blocks // 8),
             )
         return patterns.tiled_reuse_accesses(
-            HOT_REGION + start_block * BLOCK_SIZE,
+            hot_base + start_block,
             hot_blocks,
             chunk_blocks=hot_blocks,
             chunk_repeats=1,
@@ -214,16 +253,12 @@ class SyntheticKernelModel:
                 hot = max(0.0, 1.0 - stream)
         return stream, hot
 
-    def _mem_fraction_at(self, instruction_index: int, total: int) -> float:
-        model = self.spec.model
-        if model.pattern is PatternKind.TWO_PHASE:
-            if instruction_index < model.phase_split * total:
-                return model.mem_fraction
-            return model.phase2_mem_fraction
-        return model.mem_fraction
-
     def _warp_stream(self, cta_index: int, warp_index: int, wid: int) -> Iterator[Instruction]:
-        """Yield the instruction stream of one warp (deterministic per warp)."""
+        """Yield the instruction stream of one warp (a view of its ops)."""
+        return instruction_stream(self._warp_ops(cta_index, warp_index))
+
+    def _warp_ops(self, cta_index: int, warp_index: int) -> Iterator[WarpOp]:
+        """Yield the ops of one warp (deterministic per warp)."""
         model = self.spec.model
         logical_index = self._logical_index(cta_index, warp_index)
         # zlib.crc32 (not hash()) keys the per-warp RNG: str hashes are
@@ -239,48 +274,50 @@ class SyntheticKernelModel:
         stream_fraction, hot_fraction = self._access_mix_for(logical_index)
         if hot_iter is None:
             hot_fraction = 0.0
+        stream_or_hot = stream_fraction + hot_fraction
         total = self.instructions_per_warp
         barrier_interval = model.barrier_interval if self.spec.uses_barriers else 0
         scratch_bytes = max(128, self.spec.shared_mem_per_cta(), 1024)
+        scratch_slots = max(1, scratch_bytes // 8)
+        scratch_lanes: dict[int, tuple[int, ...]] = {}
+        # A two-phase kernel switches to its second memory fraction here.
+        split = model.phase_split * total if model.pattern is PatternKind.TWO_PHASE else total
+        scratch_fraction = model.scratchpad_fraction
+        draw_of = rng.random
 
-        emitted = 0
-        while emitted < total:
-            if (
-                barrier_interval
-                and emitted > 0
-                and emitted % barrier_interval == 0
-            ):
-                yield Instruction.barrier()
-                emitted += 1
+        for emitted in range(total):
+            if barrier_interval and emitted and emitted % barrier_interval == 0:
+                yield _BARRIER_OP
                 continue
-            draw = rng.random()
-            mem_fraction = self._mem_fraction_at(emitted, total)
-            scratch_fraction = model.scratchpad_fraction
+            draw = draw_of()
+            mem_fraction = model.mem_fraction if emitted < split else model.phase2_mem_fraction
             if draw < mem_fraction:
-                source = rng.random()
+                source = draw_of()
                 if source < stream_fraction:
-                    lanes = next(stream_iter)
-                elif source < stream_fraction + hot_fraction and hot_iter is not None:
-                    lanes = next(hot_iter)
+                    blocks = next(stream_iter)
+                elif source < stream_or_hot:
+                    blocks = next(hot_iter)
                 else:
-                    lanes = next(reuse_iter)
-                if rng.random() < STORE_FRACTION:
-                    yield Instruction.store(lanes)
+                    blocks = next(reuse_iter)
+                if draw_of() < STORE_FRACTION:
+                    yield (_C_STORE, blocks)
                 else:
-                    yield Instruction.load(lanes)
+                    yield (_C_LOAD, blocks)
             elif draw < mem_fraction + scratch_fraction:
-                offset = rng.randrange(0, max(1, scratch_bytes // 8)) * 8
-                offsets = [
-                    (offset + lane * 8) % scratch_bytes for lane in range(patterns.WARP_LANES)
-                ]
-                if rng.random() < 0.5:
-                    yield Instruction.shared_store(offsets)
+                offset = rng.randrange(0, scratch_slots) * 8
+                offsets = scratch_lanes.get(offset)
+                if offsets is None:
+                    offsets = tuple(
+                        [(offset + lane * 8) % scratch_bytes for lane in range(WARP_LANES)]
+                    )
+                    scratch_lanes[offset] = offsets
+                if draw_of() < 0.5:
+                    yield (_C_SHARED_STORE, offsets)
                 else:
-                    yield Instruction.shared_load(offsets)
+                    yield (_C_SHARED_LOAD, offsets)
             else:
-                yield Instruction.alu()
-            emitted += 1
-        yield Instruction.exit()
+                yield _ALU_OP
+        yield _EXIT_OP
 
 
 def build_kernel(

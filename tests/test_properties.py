@@ -10,12 +10,16 @@ from strategies import multi_tenant_requests
 from repro.core.config import CIAOParameters
 from repro.core.interference import InterferenceDetector
 from repro.gpu.coalescer import Coalescer
+from repro.gpu.instruction import KIND_CODE, InstructionKind
+from repro.gpu.vector.trace import KernelTrace
 from repro.harness.reporting import geometric_mean
 from repro.mem.address import BLOCK_SIZE, AddressMapping
 from repro.mem.cache import AccessOutcome, Cache, CacheConfig
 from repro.mem.hashing import ipoly_set_index, xor_set_index
 from repro.mem.mshr import MSHRFile, MSHRTarget
 from repro.mem.victim_tag_array import VTAConfig, VictimTagArray
+from repro.workloads import benchmark_names, get_benchmark
+from repro.workloads.synthetic import SyntheticKernelModel, isolate_address_space
 
 addresses = st.integers(min_value=0, max_value=2**40 - 1)
 
@@ -207,3 +211,53 @@ def test_specialized_set_hashes_match_generic(address, num_sets):
     for generic in (xor_set_index, linear_set_index, ipoly_set_index):
         specialized = specialize_set_hash(generic, num_sets)
         assert specialized(block) == generic(block, num_sets), (generic.__name__, num_sets)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(benchmark_names()),
+    st.floats(min_value=0.005, max_value=0.05),
+    st.integers(min_value=1, max_value=50),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=63),
+    st.integers(min_value=0, max_value=63),
+)
+def test_packed_trace_matches_reference_coalescer(name, scale, seed, colour, cta, warp):
+    """A trace packed from ops equals the tables the reference path implies.
+
+    The reference engine coalesces each global access's lane addresses and
+    reads each scratchpad access's lane offsets; the trace packs the same
+    warp straight from its ops.  Every table must agree, including the
+    instruction kinds, the latency-1 ALU run ends and the access ordinals.
+    """
+    model = SyntheticKernelModel(get_benchmark(name), scale=scale, seed=seed)
+    kernel = isolate_address_space(model.kernel_launch(), colour)
+    cta %= kernel.num_ctas
+    warp %= kernel.warps_per_cta
+    packed = KernelTrace(kernel).warp(cta, warp)
+    instructions = list(kernel.stream_factory(cta, warp, 0))
+    coalescer = Coalescer()
+    access_index, mem_blocks, mem_lanes, shared_addrs = [], [], [], []
+    for instruction in instructions:
+        if instruction.is_global_memory:
+            access_index.append(len(mem_blocks))
+            mem_blocks.append(tuple(coalescer.coalesce(instruction.addresses)))
+            mem_lanes.append(len(instruction.addresses))
+        elif instruction.is_shared_memory:
+            access_index.append(len(shared_addrs))
+            shared_addrs.append(instruction.addresses)
+        else:
+            access_index.append(-1)
+    sticky_end = []
+    for position in range(len(instructions)):
+        end = position
+        while instructions[end].kind is InstructionKind.ALU and instructions[end].latency == 1:
+            end += 1
+        sticky_end.append(end)
+    assert packed.kind_codes == bytes(KIND_CODE[i.kind] for i in instructions)
+    assert [i.kind for i in packed.instructions] == [i.kind for i in instructions]
+    assert list(packed.sticky_end) == sticky_end
+    assert list(packed.access_index) == access_index
+    assert packed.mem_blocks == mem_blocks
+    assert list(packed.mem_lanes) == mem_lanes
+    assert packed.shared_addrs == shared_addrs

@@ -1,9 +1,11 @@
 """Unit tests for the workload registry and synthetic kernel models."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
+from repro.gpu.coalescer import Coalescer
 from repro.gpu.instruction import InstructionKind
 from repro.workloads import (
     MEMORY_INTENSIVE_BENCHMARKS,
@@ -63,6 +65,21 @@ class TestRegistry:
 
     def test_all_specs_validate(self):
         for spec in all_benchmarks():
+            spec.validate()
+
+    def test_divergence_below_one_is_rejected(self):
+        spec = get_benchmark("KMN")
+        spec = replace(spec, model=replace(spec.model, divergence=0))
+        with pytest.raises(ValueError, match="divergence"):
+            spec.validate()
+        with pytest.raises(ValueError, match="divergence"):
+            SyntheticKernelModel(spec)
+
+    def test_divergence_above_warp_lanes_is_rejected(self):
+        spec = get_benchmark("KMN")
+        replace(spec, model=replace(spec.model, divergence=32)).validate()
+        spec = replace(spec, model=replace(spec.model, divergence=33))
+        with pytest.raises(ValueError, match="divergence"):
             spec.validate()
 
     def test_shared_mem_per_cta_respects_fsmem(self):
@@ -151,33 +168,67 @@ class TestSyntheticModel:
 
 
 class TestPatterns:
+    """The patterns take and yield 128-byte block numbers, one tuple per access."""
+
     def test_tiled_reuse_addresses_stay_in_tile(self):
-        gen = patterns.tiled_reuse_accesses(0x1000, tile_blocks=4, chunk_blocks=2, chunk_repeats=2)
-        for lanes in itertools.islice(gen, 50):
-            assert all(0x1000 <= a < 0x1000 + 4 * 128 for a in lanes)
+        gen = patterns.tiled_reuse_accesses(0x20, tile_blocks=4, chunk_blocks=2, chunk_repeats=2)
+        accesses = list(itertools.islice(gen, 50))
+        assert all(len(blocks) == 1 and 0x20 <= blocks[0] < 0x20 + 4 for blocks in accesses)
+        # Each two-block chunk is swept twice before the walk moves on.
+        assert accesses[:8] == [(0x20,), (0x21,)] * 2 + [(0x22,), (0x23,)] * 2
 
     def test_streaming_never_repeats_within_length(self):
         gen = patterns.streaming_accesses(0, length_blocks=100)
-        blocks = [lanes[0] // 128 for lanes in itertools.islice(gen, 100)]
+        blocks = [block for (block,) in itertools.islice(gen, 100)]
         assert len(set(blocks)) == 100
+        assert next(gen) == (0,)  # then the pass wraps
 
     def test_irregular_respects_footprint(self):
         import random
 
         gen = patterns.irregular_accesses(random.Random(0), 0, footprint_blocks=16, blocks_per_access=2)
-        for lanes in itertools.islice(gen, 100):
-            assert all(a < 16 * 128 for a in lanes)
+        accesses = list(itertools.islice(gen, 100))
+        assert all(len(blocks) == 2 for blocks in accesses)
+        assert all(0 <= block < 16 for blocks in accesses for block in blocks)
+        # Draws are kept as drawn: some accesses repeat a block.
+        assert any(blocks[0] == blocks[1] for blocks in accesses)
 
     def test_stencil_touches_neighbouring_rows(self):
         gen = patterns.stencil_accesses(0, row_blocks=2, num_rows=4, halo_rows=1, sweeps=1)
-        blocks = {lanes[0] // 128 for lanes in itertools.islice(gen, 30)}
-        assert len(blocks) > 2
+        accesses = list(itertools.islice(gen, 30))
+        assert all(len(blocks) == 1 and 0 <= blocks[0] < 8 for blocks in accesses)
+        assert len(set(accesses)) > 2
+        # Row 1, column 0 reads rows 0, 1 and 2 of that column in turn.
+        assert accesses[6:9] == [(0,), (2,), (4,)]
 
     def test_invalid_parameters(self):
+        import random
+
         with pytest.raises(ValueError):
             next(patterns.tiled_reuse_accesses(0, 0))
         with pytest.raises(ValueError):
             next(patterns.streaming_accesses(0, 0))
+        with pytest.raises(ValueError):
+            next(patterns.irregular_accesses(random.Random(0), 0, 0))
+        for blocks_per_access in (0, 33):
+            with pytest.raises(ValueError):
+                next(
+                    patterns.irregular_accesses(
+                        random.Random(0), 0, 16, blocks_per_access=blocks_per_access
+                    )
+                )
+        with pytest.raises(ValueError):
+            next(patterns.stencil_accesses(0, 0, 4))
+        with pytest.raises(ValueError):
+            patterns.lane_addresses(())
+        with pytest.raises(ValueError):
+            patterns.lane_addresses(tuple(range(33)))
+
+    def test_lane_addresses_cycle_over_blocks(self):
+        assert patterns.lane_addresses((5,)) == tuple(5 * 128 + 4 * lane for lane in range(32))
+        lanes = patterns.lane_addresses((7, 2, 7))
+        assert lanes == tuple((7, 2, 7)[lane % 3] * 128 + 4 * lane % 128 for lane in range(32))
+        assert Coalescer().coalesce(lanes) == [7, 2]
 
 
 class TestStreamProcessDeterminism:
