@@ -40,6 +40,51 @@ The global fast-forward keeps pure-Python simulation practical: when no SM
 can issue, the clock jumps straight to the earliest in-flight memory event
 across all SMs.
 
+Skipping steps whose outcome is known
+-------------------------------------
+
+Stepping every live SM every cycle repeats work whose result is already
+known: an SM whose greedy warp is refused for want of an MSHR retries the
+same access each cycle while another SM issues.  Two mechanisms skip such
+SM-cycles, and both keep every SM's L2/DRAM accesses in the
+(cycle, ``sm_id``) order of the per-cycle loop, so results are bit-identical:
+
+* **Sleep.**  An SM that issued nothing at a lock-step cycle ``c`` sleeps
+  when its scheduler declares ``vector_sticky_select``, its ``on_cycle`` (if
+  any) declares ``on_cycle_due``, it has no ``should_bypass_l1`` hook and it
+  has fills in flight (:meth:`~repro.gpu.vector.engine.VectorSM.sleep_bound`).
+  Its bound is the earliest of its next fill, ``on_cycle_due()`` and the
+  next ``ready_at`` timer of its ready index and waiting heap.  Before the
+  bound nothing the SM reads changes: no fill drains, ``on_cycle`` is a
+  no-op, no warp becomes ready, and other SMs touch only the L2/DRAM, which
+  a refused access never reaches (the MSHR and L1D check comes first).
+  ``select`` runs over the same issuable list, and the sticky contract
+  makes it return the same warp without changing the scheduler.  So every
+  skipped step repeats the refused access's coalescer and stall counters
+  (or again finds nothing issuable) and touches no shared state.  The SM
+  wakes at the first lock-step cycle ``w`` at or after the bound (the
+  global fast-forward may pass a timer bound, just as it would with the SM
+  awake) and is credited ``w - c`` stall cycles plus the recorded deltas
+  once per skipped iteration
+  (:meth:`~repro.gpu.vector.engine.VectorSM.wake`).  A sleeper's
+  next fill still counts in the fast-forward target, and since a sleeper
+  always has one, the livelock branch never runs while anyone sleeps.
+* **Solo.**  When exactly one SM is awake and no launch is pending, that SM
+  runs the vector engine's batched loop
+  (:meth:`~repro.gpu.vector.engine.VectorSM.run_batched`: greedy stretches
+  and stall jumps) up to the sleepers' earliest bound, the first cycle
+  another SM may act.  A stretch stops at that horizon; a stall jumps to the
+  earlier of its own next fill and the sleepers' earliest fill, which is
+  exactly the target the per-cycle loop would pick, so no jump passes a
+  sleeper's fill.  The loop counts the lock-step iterations it covers so
+  that the sleepers can repeat them.  A lone live SM (an isolated tenant,
+  the tail of a co-located run) is the case with no sleepers;
+  :meth:`~repro.gpu.vector.engine.VectorSM.run` is the same loop with no
+  horizon.
+
+Reference SMs offer neither capability and take the per-cycle branch of
+this same driver, which is what makes them the oracle.
+
 Driver-side cost is kept proportional to *change*, not to SM count times
 cycle count: ``has_work()`` and ``can_issue()`` are O(1)/indexed on the SM
 side (the SM's incremental ready index), and the driver keeps a cross-SM
@@ -50,6 +95,7 @@ churn) are not re-queried on every fast-forward decision.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from repro.gpu.cta import KernelLaunch
@@ -74,6 +120,10 @@ def _advance_sms(
     fast-forward decision (the clock never jumps past a pending launch), and
     an all-zero map takes exactly the simultaneous-launch code path, so
     offset-free staggered requests stay bit-identical to the original loop.
+
+    SMs offering ``sleep_bound`` / ``wake`` sleep through the lock-step
+    cycles whose outcome is known, and one offering ``run_batched`` runs
+    alone while it is the only SM awake (see the module docstring).
     """
     cycle = 0
     if launch_cycles and any(launch_cycles.values()):
@@ -87,6 +137,7 @@ def _advance_sms(
         pending = []
     finalized: set[int] = set()
     per_sm_stats: dict[int, SMStats] = {}
+    sleep_bounds = {sm.sm_id: sm.sleep_bound for sm in sms if hasattr(sm, "sleep_bound")}
 
     # Cross-SM event index: next_event_time() per SM, cached against the
     # SM's events_version stamp so waiting SMs are not re-scanned.
@@ -101,18 +152,45 @@ def _advance_sms(
         event_cache[sm.sm_id] = (version, value)
         return value
 
-    while (live or pending) and cycle < budget:
+    by_id = attrgetter("sm_id")
+    # sm_id -> (wake bound, SM, sleep cycle, sleep iteration, next fill).
+    asleep: dict[int, tuple] = {}
+    wake_at = budget  # earliest bound among the sleepers
+    iteration = 0  # lock-step iterations completed
+
+    while (live or asleep or pending) and cycle < budget:
         if pending and launch_cycles[pending[0].sm_id] <= cycle:
             # Admit every tenant whose launch cycle has arrived; the live
             # set keeps its sm_id issue order.
             while pending and launch_cycles[pending[0].sm_id] <= cycle:
                 live.append(pending.pop(0))
-            live.sort(key=lambda sm: sm.sm_id)
-        if not live:
+            live.sort(key=by_id)
+        if asleep and wake_at <= cycle:
+            # Wake every sleeper whose bound has arrived: it stalled since it
+            # fell asleep and repeated its step once per skipped iteration.
+            for sm_id, (bound, sm, since, since_iteration, _) in list(asleep.items()):
+                if bound <= cycle:
+                    del asleep[sm_id]
+                    sm.wake(cycle - since, iteration - since_iteration)
+                    live.append(sm)
+            live.sort(key=by_id)
+            wake_at = min((entry[0] for entry in asleep.values()), default=budget)
+        if not live and not asleep:
             # Nothing resident yet: jump straight to the next arrival —
             # dormant tenants accrue no stall accounting.
             cycle = min(launch_cycles[pending[0].sm_id], budget)
             continue
+        if len(live) == 1 and not pending:
+            solo = live[0]
+            run_batched = getattr(solo, "run_batched", None)
+            if run_batched is not None and solo.has_work():
+                # The only SM awake runs the batched loop up to the first
+                # cycle a sleeper may act, never past the sleepers' first fill.
+                fill_cap = min((entry[4] for entry in asleep.values()), default=None)
+                cycle, iterations = run_batched(cycle, min(wake_at, budget), fill_cap)
+                iteration += iterations
+                continue
+        iteration += 1
         stepped: list[tuple] = []
         issued_any = False
         for sm in live:
@@ -125,23 +203,35 @@ def _advance_sms(
             issued = sm.step_cycle(cycle)
             issued_any = issued_any or issued
             stepped.append((sm, issued))
-        live = [sm for sm, _ in stepped]
-        if not live:
+        live = []
+        idle = []
+        for sm, issued in stepped:
+            if not issued:
+                sleep_bound = sleep_bounds.get(sm.sm_id)
+                bound = sleep_bound(cycle) if sleep_bound is not None else None
+                if bound is not None:
+                    asleep[sm.sm_id] = (bound, sm, cycle, iteration, sm.next_event_time())
+                    if bound < wake_at:
+                        wake_at = bound
+                    continue
+                idle.append(sm)
+            live.append(sm)
+        if not live and not asleep:
             continue
 
         if issued_any:
             # At least one SM made progress: SMs that could not issue this
             # cycle lost an issue slot, exactly as in the serialized loop.
-            for sm, issued in stepped:
-                if not issued:
-                    sm.record_stall(1)
+            for sm in idle:
+                sm.record_stall(1)
             cycle += 1
             continue
 
         # Nobody issued anywhere: fast-forward the global clock to the
-        # earliest in-flight memory event across all SMs — or the next
-        # staggered kernel arrival, whichever comes first.
+        # earliest in-flight memory event across all SMs, sleepers included
+        # — or the next staggered kernel arrival, whichever comes first.
         event_times = [t for sm in live if (t := next_event(sm)) is not None]
+        event_times.extend(entry[4] for entry in asleep.values())
         if pending:
             event_times.append(launch_cycles[pending[0].sm_id])
         if event_times:
@@ -167,6 +257,8 @@ def _advance_sms(
                 sm.record_stall(1)
             cycle += 1
 
+    for _bound, sm, since, since_iteration, _ in asleep.values():
+        sm.wake(cycle - since, iteration - since_iteration)
     for sm in sms:
         if sm.sm_id not in finalized:
             per_sm_stats[sm.sm_id] = sm.finalize(cycle)

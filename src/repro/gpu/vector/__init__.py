@@ -16,11 +16,14 @@ kernel, in pure stdlib Python:
   list, schedulers, caches and memory subsystem as the reference SM, but
   replays the trace, runs the global-memory path against the pre-coalesced,
   pre-hashed transactions and skips selection while the greedy warp can
-  issue.  Driven serially it also issues uninterrupted single-warp
-  instruction runs in one batched step (exact under the schedulers'
-  declared ``vector_sticky_select`` capability) and fast-forwards stall
-  stretches with one min-reduction over the warp timers; driven by the
-  lock-step loop (:mod:`repro.gpu.lockstep`) it steps one cycle at a time.
+  issue.  Its batched loop issues uninterrupted single-warp instruction
+  runs in one step (exact under the schedulers' declared
+  ``vector_sticky_select`` capability) and fast-forwards stall stretches
+  with one min-reduction over the warp timers.  Driven serially it runs
+  that loop to the end; driven by the lock-step loop
+  (:mod:`repro.gpu.lockstep`) it runs it while it is the only SM awake,
+  steps one cycle at a time otherwise, and sleeps through the cycles in
+  which it provably cannot act.
 """
 
 from repro.gpu.vector.backend import VectorBackend

@@ -41,13 +41,17 @@ Schedulers that do not declare the sticky capability (LRR's rotation,
 statPCAL's token preference) run through the inherited cycle-by-cycle path
 and remain exact.
 
-The batched stretches and the stall fast-forward live in :meth:`VectorSM.run`
-(the serialized ``vector`` engine).  The ``lockstep`` engine drives the same
-SMs through the inherited stepping primitives instead (``step_cycle`` and
-friends, one global cycle at a time), so its SMs keep trace replay, the
+The batched stretches and the stall fast-forward live in one loop,
+:meth:`VectorSM.run_batched`.  The serialized ``vector`` engine runs it with
+no horizon (:meth:`VectorSM.run`); the ``lockstep`` engine runs it whenever
+an SM is the only one awake, up to the cycle another SM may act, and
+otherwise steps its SMs one global cycle at a time through the inherited
+primitives (``step_cycle`` and friends), which keep trace replay, the
 pre-coalesced memory path and the greedy-select fast path of
-:meth:`VectorSM._issue_cycle`.  A finished SM releases its trace tables
-(:meth:`VectorSM.finalize`).
+:meth:`VectorSM._issue_cycle`.  Between lock-step cycles an SM that cannot
+act sleeps (:meth:`VectorSM.sleep_bound` / :meth:`VectorSM.wake`; the
+exactness argument is in :mod:`repro.gpu.lockstep`).  A finished SM releases
+its trace tables (:meth:`VectorSM.finalize`).
 """
 
 from __future__ import annotations
@@ -110,6 +114,13 @@ class VectorSM(StreamingMultiprocessor):
         self._fast_select_ok = False
         self._notify_greedy_only = False
         self._due_fn = None
+        self._may_sleep = False
+        #: ``(cycle, repeat)`` of the last refused global access, where
+        #: ``repeat`` is its ``(transactions, lanes, reservation failed)``
+        #: counter deltas, or ``None`` when they are unknown.
+        self._refused: Optional[tuple] = None
+        #: The deltas a sleeping SM repeats per lock-step cycle it skips.
+        self._repeat: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Launch: substitute trace replay for the generator streams
@@ -171,6 +182,12 @@ class VectorSM(StreamingMultiprocessor):
             else None
         )
         self._notify_due_fn = getattr(scheduler, "vector_notify_due", None)
+        hooks = self._hooks
+        self._may_sleep = (
+            self._sticky_ok
+            and (hooks.on_cycle is None or self._due_fn is not None)
+            and hooks.should_bypass_l1 is None
+        )
 
     # ------------------------------------------------------------------
     # Main loop (the stepping primitives stay inherited and exact)
@@ -179,27 +196,53 @@ class VectorSM(StreamingMultiprocessor):
         if self._kernel is None:
             raise RuntimeError("launch() must be called before run()")
         budget = max_cycles if max_cycles is not None else self.config.max_cycles
+        now, _ = self.run_batched(self.cycle, budget)
+        return self.finalize(now)
+
+    def run_batched(
+        self, now: int, limit: int, fill_cap: Optional[int] = None
+    ) -> tuple[int, int]:
+        """Advance alone from ``now`` until drained or the clock reaches ``limit``.
+
+        Greedy stretches stop at ``limit``; a stall jumps to the SM's next
+        fill or ``fill_cap``, whichever comes first, and may pass ``limit``
+        (the lock-step driver's own fast-forward jumps just as far).  Returns
+        the new time and the number of lock-step iterations covered: one per
+        cycle the SM was stepped or issued in a stretch.  The count is exact
+        whenever ``fill_cap`` is given; without one (no other SM in flight) a
+        no-progress wait may cover several iterations and counts as one.
+        """
         sticky = self._sticky_ok
-        now = self.cycle
-        while self.has_work() and now < budget:
+        iterations = 0
+        while self.has_work() and now < limit:
+            iterations += 1
             if self.step_cycle(now):
                 now += 1
                 if sticky and self._batch_warp is not None:
-                    now = self._issue_sticky_run(self._batch_warp, now, budget)
+                    start = now
+                    now = self._issue_sticky_run(self._batch_warp, now, limit)
+                    iterations += now - start
                     if self._batch_stalled:
                         # The batched stretch ended on a structural hazard at
                         # `now` (stall already recorded by the attempt, like
                         # the reference's failed issue cycle): finish the
                         # cycle through the not-issued branch.
                         self._batch_stalled = False
-                        now = self._stall_step(now, budget)
+                        iterations += 1
+                        now = self._stall_step(now, limit, fill_cap)
                 continue
-            now = self._stall_step(now, budget)
-        return self.finalize(now)
+            now = self._stall_step(now, limit, fill_cap)
+        return now, iterations
 
-    def _stall_step(self, now: int, budget: int) -> int:
-        """The reference loop's not-issued branch, batched where inert."""
+    def _stall_step(self, now: int, budget: int, fill_cap: Optional[int] = None) -> int:
+        """The reference loop's not-issued branch, batched where inert.
+
+        ``fill_cap`` (sleeping SMs' earliest fill) joins the SM's own next
+        fill in the fast-forward target, as in the lock-step driver.
+        """
         next_event = self.next_event_time()
+        if fill_cap is not None and (next_event is None or fill_cap < next_event):
+            next_event = fill_cap
         if next_event is not None and next_event > now:
             self.record_stall(next_event - now)
             return next_event
@@ -297,6 +340,65 @@ class VectorSM(StreamingMultiprocessor):
         self._mem_sets_l2.clear()
         self._shared_costs.clear()
         return stats
+
+    # ------------------------------------------------------------------
+    # Sleeping between lock-step cycles
+    # ------------------------------------------------------------------
+    def sleep_bound(self, now: int) -> Optional[int]:
+        """Cycle before which every further step repeats this one, if any.
+
+        Called by the lock-step driver right after a step at ``now`` that
+        issued nothing.  Until the SM's next fill, its next ``on_cycle``
+        action and the next warp timer, nothing it reads changes, so every
+        later step re-selects the same warp (the sticky ``select`` contract)
+        and repeats the same refused access, or again finds nothing
+        issuable.  Returns that bound (``None`` when the SM may not sleep)
+        and keeps the step's counter deltas for :meth:`wake`.
+        """
+        events = self._events
+        if not self._may_sleep or not events:
+            return None
+        refused = self._refused
+        if refused is not None and refused[0] == now:
+            if refused[1] is None:
+                return None
+            self._repeat = refused[1]
+        else:
+            self._repeat = None  # nothing was issuable: nothing to repeat
+        bound = events[0].time
+        if self._due_fn is not None:
+            due = self._due_fn()
+            if due is None:
+                return None
+            if due < bound:
+                bound = due
+        for warp in self._ready_list:
+            ready = warp.ready_at
+            if now < ready < bound:
+                bound = ready
+        waiting = self._waiting
+        # A heap top at or before `now` means this step took the greedy
+        # fast path, which no other warp's timer can redirect.
+        if waiting and now < waiting[0][0] < bound:
+            bound = waiting[0][0]
+        return bound if bound > now + 1 else None
+
+    def wake(self, stalled: int, repeats: int) -> None:
+        """Settle a sleep: ``stalled`` lost cycles, ``repeats`` skipped steps."""
+        self.record_stall(stalled)
+        repeat = self._repeat
+        if repeat is None or not repeats:
+            return
+        transactions, lanes, reservation = repeat
+        coalescer_stats = self.coalescer.stats
+        coalescer_stats.instructions += repeats
+        coalescer_stats.transactions += transactions * repeats
+        coalescer_stats.lanes += lanes * repeats
+        coalescer_stats.histogram[transactions] += repeats
+        stalls = self.stats.stalls
+        stalls.mshr_full += repeats
+        if reservation:
+            stalls.reservation_fail += repeats
 
     # ------------------------------------------------------------------
     # Batched greedy-stretch issue
@@ -543,15 +645,32 @@ class VectorSM(StreamingMultiprocessor):
     # ------------------------------------------------------------------
     def _execute_global(self, warp, instruction, now: int) -> bool:
         trace = self._traces.get(warp.wid)
-        if trace is None:
-            return super()._execute_global(warp, instruction, now)
-        index = warp.instructions_issued
-        mem_ix = trace.access_index[index]
-        if mem_ix < 0 or trace.instructions[index] is not instruction:
-            # Replay desync (e.g. a test hand-fed this SM a foreign stream):
-            # fall back to the reference path rather than guess.
-            return super()._execute_global(warp, instruction, now)
-        return self._execute_global_traced(warp, trace, mem_ix, instruction, now)
+        if trace is not None:
+            index = warp.instructions_issued
+            mem_ix = trace.access_index[index]
+            if mem_ix >= 0 and trace.instructions[index] is instruction:
+                return self._execute_global_traced(
+                    warp, trace, mem_ix, instruction, now
+                )
+        # No trace, or a replay desync (e.g. a test hand-fed this SM a
+        # foreign stream): fall back to the reference path rather than guess.
+        if super()._execute_global(warp, instruction, now):
+            return True
+        self._refused = (now, None)  # deltas unknown: no sleeping on it
+        return False
+
+    def _refuse(self, now: int, transactions: int, lanes: int, reservation: bool) -> bool:
+        """Count a global access refused for want of MSHR or L1D room.
+
+        Keeps the attempt's counter deltas (beyond the coalescer accounting
+        already done) so a sleeping SM can repeat them (:meth:`sleep_bound`).
+        """
+        stalls = self.stats.stalls
+        if reservation:
+            stalls.reservation_fail += 1
+        stalls.mshr_full += 1
+        self._refused = (now, (transactions, lanes, reservation))
+        return False
 
     def _execute_global_traced(self, warp, trace, mem_ix, instruction, now):
         blocks = trace.mem_blocks[mem_ix]
@@ -570,9 +689,10 @@ class VectorSM(StreamingMultiprocessor):
         # reference path (a replayed attempt is re-counted there too).
         coalescer_stats = self.coalescer.stats
         transactions = len(blocks)
+        lanes = trace.mem_lanes[mem_ix]
         coalescer_stats.instructions += 1
         coalescer_stats.transactions += transactions
-        coalescer_stats.lanes += trace.mem_lanes[mem_ix]
+        coalescer_stats.lanes += lanes
         coalescer_stats.histogram[transactions] = (
             coalescer_stats.histogram.get(transactions, 0) + 1
         )
@@ -580,10 +700,11 @@ class VectorSM(StreamingMultiprocessor):
         plain_load = not is_write and not use_shared and not bypass
         if plain_load and transactions == 1:
             return self._execute_single_load(
-                warp, blocks[0], sets[0], self._mem_sets_l2[wid][mem_ix][0], now
+                warp, blocks[0], sets[0], self._mem_sets_l2[wid][mem_ix][0], now, lanes
             )
-        if not is_write and not self._resources_ok(blocks, sets, use_shared, bypass):
-            stats.stalls.mshr_full += 1
+        if not is_write and not self._resources_ok(
+            blocks, sets, use_shared, bypass, now, lanes
+        ):
             return False
         stats.global_memory_instructions += 1
         if is_write:
@@ -646,39 +767,45 @@ class VectorSM(StreamingMultiprocessor):
                     notify(warp, False, None, "l1d", now)
                 continue
             self._fused_miss(
-                warp, block, sets[position], l2_sets[position], now, notify
+                warp,
+                block,
+                sets[position],
+                l2_sets[position],
+                now,
+                notify,
+                l1d.tags.find_victim(sets[position]),
             )
         warp.ready_at = latency_floor
         return True
 
-    def _execute_single_load(self, warp, block, set_index, l2_set, now):
+    def _execute_single_load(self, warp, block, set_index, l2_set, now, lanes):
         """Resource check + execution of a one-transaction L1D load, fused.
 
         With a single transaction nothing can mutate the set between the
         reference engine's pre-check and its execution, so the probe and
-        victim search run once and serve both — with the stall counters
-        recorded in the pre-check's order.
+        victim search run once and serve both.
         """
-        stats = self.stats
         mshr = self.mshr
         entry = mshr._entries.get(block)
+        tags = self.l1d.tags
         line = None
-        for candidate in self.l1d.tags._sets[set_index]:
+        for candidate in tags._sets[set_index]:
             if candidate.tag == block:
                 line = candidate
                 break
+        victim = None
         if entry is not None:
             if len(entry.targets) >= mshr.max_merged:
-                stats.stalls.mshr_full += 1
-                return False
+                return self._refuse(now, 1, lanes, False)
+            if line is None:
+                victim = tags.find_victim(set_index)
         elif line is None:
-            if self.l1d.tags.find_victim(set_index) is None:
-                stats.stalls.reservation_fail += 1
-                stats.stalls.mshr_full += 1
-                return False
+            victim = tags.find_victim(set_index)
+            if victim is None:
+                return self._refuse(now, 1, lanes, True)
             if len(mshr._entries) >= mshr.num_entries:
-                stats.stalls.mshr_full += 1
-                return False
+                return self._refuse(now, 1, lanes, False)
+        stats = self.stats
         stats.global_memory_instructions += 1
         notify = self._hooks.notify_global_access
         wid = warp.wid
@@ -706,21 +833,21 @@ class VectorSM(StreamingMultiprocessor):
                 notify(warp, False, None, "l1d", now)
             warp.ready_at = now + 1
             return True
-        self._fused_miss(warp, block, set_index, l2_set, now, notify)
+        self._fused_miss(warp, block, set_index, l2_set, now, notify, victim)
         warp.ready_at = now + 1
         return True
 
-    def _fused_miss(self, warp, block, set_index, l2_set, now, notify):
+    def _fused_miss(self, warp, block, set_index, l2_set, now, notify, victim):
         """The L1D demand-miss path of ``Cache.access`` + ``_load_via_l1d``.
 
-        Reserves a line (when the set allows it), records the eviction in
-        the VTA, probes lost locality, allocates/merges the MSHR entry and
+        ``victim`` is the set's ``find_victim`` result, searched by the
+        caller.  Reserves it (when the set allows it), records the eviction
+        in the VTA, probes lost locality, allocates/merges the MSHR entry and
         requests the fill — same objects, same counters, same order.
         """
         l1d = self.l1d
         l1d_stats = l1d.stats
         wid = warp.wid
-        victim = l1d.tags.find_victim(set_index)
         if victim is None:
             l1d_stats.reservation_fails += 1
             eviction = None
@@ -864,8 +991,13 @@ class VectorSM(StreamingMultiprocessor):
         self.stats.shared_memory_instructions += 1
         return True
 
-    def _resources_ok(self, blocks, sets, use_shared: bool, bypass: bool) -> bool:
-        """``_memory_resources_available`` over pre-hashed transactions."""
+    def _resources_ok(
+        self, blocks, sets, use_shared: bool, bypass: bool, now: int, lanes: int
+    ) -> bool:
+        """``_memory_resources_available`` over pre-hashed transactions.
+
+        A refusal is counted through :meth:`_refuse`.
+        """
         free_needed = 0
         mshr = self.mshr
         entries = mshr._entries
@@ -878,7 +1010,7 @@ class VectorSM(StreamingMultiprocessor):
             entry = entries.get(block)
             if entry is not None:
                 if len(entry.targets) >= max_merged:
-                    return False
+                    return self._refuse(now, len(blocks), lanes, False)
                 continue
             if probe_l1d:
                 line = None
@@ -889,8 +1021,7 @@ class VectorSM(StreamingMultiprocessor):
                 if line is not None:
                     continue
                 if l1d.tags.find_victim(sets[position]) is None:
-                    self.stats.stalls.reservation_fail += 1
-                    return False
+                    return self._refuse(now, len(blocks), lanes, True)
             elif (
                 use_shared
                 and self.shared_cache is not None
@@ -898,7 +1029,9 @@ class VectorSM(StreamingMultiprocessor):
             ):
                 continue
             free_needed += 1
-        return len(entries) + free_needed <= mshr.num_entries
+        if len(entries) + free_needed > mshr.num_entries:
+            return self._refuse(now, len(blocks), lanes, False)
+        return True
 
 
 class VectorGPU(GPU):

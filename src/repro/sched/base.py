@@ -105,6 +105,16 @@ class WarpScheduler:
     #: uninterrupted single-warp instruction runs in one batched step; the
     #: batch is bit-identical to the cycle-by-cycle path only under this
     #: property, so a scheduler must not set it unless it truly holds.
+    #:
+    #: The flag also promises that selection is *repeatable*: a second
+    #: ``select`` over the same issuable list (with no ``notify_issue`` in
+    #: between) returns the first call's warp and leaves the scheduler's
+    #: state unchanged.  Any state change, such as two-level's fetch-group
+    #: rotation, may happen only on the first call.  The lock-step driver
+    #: relies on this to let an SM whose selected warp was refused sleep
+    #: instead of re-running the same selection every cycle
+    #: (:mod:`repro.gpu.lockstep`); ``tests/test_schedulers.py`` checks it
+    #: for every registered scheduler that sets the flag.
     vector_sticky_select = False
     #: Declares that ``notify_issue`` does nothing but track the greedy
     #: pointer (``_last_wid``), so N consecutive issues of the same warp may

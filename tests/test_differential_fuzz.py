@@ -32,9 +32,16 @@ from strategies import (
     strip_backend,
 )
 
-from repro.api import execute, result_digest
+from repro.api import (
+    MultiTenantRequest,
+    RunConfig,
+    TenantSpec,
+    execute,
+    result_digest,
+)
 from repro.backends import materialize_tenants
 from repro.gpu.lockstep import run_multi_tenant
+from repro.gpu.sm import StreamingMultiprocessor
 from repro.scenarios.generator import generate_scenario
 
 ENGINES = ("reference", "lockstep", "vector")
@@ -99,6 +106,45 @@ def test_pinned_scenarios_cover_the_tenant_paths():
 @pytest.mark.parametrize("seed,index", PINNED_SCENARIOS)
 def test_lockstep_matches_oracle_on_pinned_scenarios(seed, index):
     _assert_lockstep_matches_oracle(_scenario(seed, index))
+
+
+#: A co-location in which one tenant never sleeps: statPCAL's select is not
+#: sticky and its on_cycle reads shared state (DRAM utilisation), beside an
+#: MSHR-bound tenant that sleeps and a CCWS tenant.  The generated
+#: scenarios' scheduler pool has no statPCAL.
+NEVER_SLEEPS = MultiTenantRequest(
+    tenants=(
+        TenantSpec("bypass", "ATAX", "statpcal", (0,), address_space=1),
+        TenantSpec("mshr-bound", "KMN", "gto", (1,), address_space=2),
+        TenantSpec("locality", "SYRK", "ccws", (2,), address_space=3),
+    ),
+    run_config=RunConfig(scale=0.02, seed=1),
+)
+
+
+def test_lockstep_matches_oracle_beside_a_statpcal_tenant(monkeypatch):
+    steps = [0]
+    step_cycle = StreamingMultiprocessor.step_cycle
+
+    def counted(sm, now):
+        steps[0] += 1
+        return step_cycle(sm, now)
+
+    monkeypatch.setattr(StreamingMultiprocessor, "step_cycle", counted)
+    request = NEVER_SLEEPS
+    for job in (request, *(request.isolated_request(t.name) for t in request.tenants)):
+        start = steps[0]
+        production = result_digest(execute(job).to_dict())
+        production_steps = steps[0] - start
+        oracle = result_digest(_oracle(job).to_dict())
+        oracle_steps = steps[0] - start - production_steps
+        assert production == oracle, f"lockstep diverged from the oracle on {job.tenants}"
+        # Sleeping SMs and batched solo runs skip SM steps (statPCAL alone
+        # has no stretches to batch): a silent fall-back to per-cycle
+        # stepping fails on the co-located job.
+        assert production_steps <= oracle_steps
+        if job is request:
+            assert production_steps < oracle_steps
 
 
 @settings(deadline=None, max_examples=max(1, settings.default.max_examples // 6))

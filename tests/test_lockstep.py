@@ -8,8 +8,11 @@ from repro.api import (
     SimulationRequest,
     TenantSpec,
     execute,
+    result_digest,
 )
+from repro.backends import materialize
 from repro.gpu.config import GPUConfig
+from repro.gpu.lockstep import run_lockstep
 from repro.harness.parallel import run_jobs
 from repro.harness.runner import run_benchmark
 
@@ -80,6 +83,35 @@ class TestMultiSM:
         a = run_benchmark("SYRK", "ccws", self.CONFIG, backend="lockstep")
         b = run_benchmark("SYRK", "ccws", self.CONFIG, backend="lockstep")
         assert a == b
+
+
+class TestMultiSMOracle:
+    """Single-kernel multi-SM lockstep == the same driver over reference SMs.
+
+    Production SMs sleep through blocked cycles and run alone in batched
+    stretches; plain reference SMs take the driver's per-cycle branch.  The
+    two must digest identically, for sticky (gto, two-level) and non-sticky
+    (statpcal, lrr) schedulers alike.
+    """
+
+    @pytest.mark.parametrize("num_sms", [2, 4])
+    @pytest.mark.parametrize("scheduler", ["gto", "two-level", "statpcal", "lrr"])
+    @pytest.mark.parametrize("bench", ["ATAX", "KMN"])
+    def test_matches_reference_sm_oracle(self, bench, scheduler, num_sms):
+        request = SimulationRequest(
+            bench,
+            scheduler,
+            run_config=RunConfig(
+                scale=0.03, seed=1, gpu_config=GPUConfig.gtx480(num_sms=num_sms)
+            ),
+            backend="lockstep",
+        )
+        production = execute(request)
+        scheduler_name, kernel, gpu, config = materialize(request)
+        oracle = run_lockstep(
+            gpu, kernel, max_cycles=config.max_cycles, scheduler_name=scheduler_name
+        )
+        assert result_digest(production.to_dict()) == result_digest(oracle.to_dict())
 
 
 def _strip_tenant_fields(result):

@@ -1,5 +1,8 @@
 """Unit tests for the baseline warp schedulers."""
 
+import enum
+import random
+
 import pytest
 
 from repro.gpu.instruction import Instruction
@@ -227,3 +230,59 @@ class TestStatPCAL:
             StatPCALScheduler(token_count=0)
         with pytest.raises(ValueError):
             StatPCALScheduler(bandwidth_threshold=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The sticky-select contract (WarpScheduler.vector_sticky_select)
+# ---------------------------------------------------------------------------
+#: Every registered scheduler that declares the sticky capability.
+STICKY_SCHEDULERS = tuple(
+    name for name in scheduler_names() if create_scheduler(name).vector_sticky_select
+)
+
+
+def _state(value):
+    """A scheduler's state as comparable plain data, nested objects included."""
+    if value is None or isinstance(value, (bool, int, float, str, enum.Enum)):
+        return value
+    if isinstance(value, dict):
+        return {key: _state(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [type(value).__name__, *(_state(item) for item in value)]
+    if isinstance(value, (set, frozenset)):
+        return sorted(repr(_state(item)) for item in value)
+    if hasattr(value, "__dict__"):
+        return type(value).__name__, _state(vars(value))
+    slots = getattr(type(value), "__slots__", ())
+    return type(value).__name__, {slot: _state(getattr(value, slot)) for slot in slots}
+
+
+def test_sticky_schedulers_are_registered():
+    assert {
+        "gto", "ccws", "best-swl", "two-level", "ciao-t", "ciao-p", "ciao-c"
+    } <= set(STICKY_SCHEDULERS)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("name", STICKY_SCHEDULERS)
+def test_sticky_select_repeats_without_side_effects(name, seed):
+    """A repeated select over the same issuable list returns the first
+    call's warp and leaves the scheduler unchanged: the lock-step driver
+    skips the steps of a blocked SM on exactly this promise."""
+    rng = random.Random(seed)
+    warps = [
+        make_warp(wid, assigned_at=rng.randrange(4))
+        for wid in sorted(rng.sample(range(48), 24))
+    ]
+    scheduler = create_scheduler(name)
+    for now in range(rng.randint(1, 4)):  # some greedy history first
+        pick = scheduler.select(rng.sample(warps, rng.randint(1, len(warps))), now)
+        scheduler.notify_issue(pick, Instruction.alu(), now)
+    present = sorted({warp.wid // 8 for warp in warps})  # two-level's groups
+    groups = rng.sample(present, rng.randint(1, min(3, len(present))))
+    issuable = [warp for warp in warps if warp.wid // 8 in groups]
+    first = scheduler.select(issuable, 10)
+    after_first = _state(vars(scheduler))
+    for now in (11, 12):
+        assert scheduler.select(issuable, now) is first
+        assert _state(vars(scheduler)) == after_first
