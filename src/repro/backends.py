@@ -150,14 +150,7 @@ def materialize_tenants(request: "MultiTenantRequest"):
     config = request.run_config
     plans: list[TenantPlan] = []
     for tenant in request.tenants:
-        spec = tenant.spec()
-        model = SyntheticKernelModel(
-            spec,
-            scale=config.scale,
-            seed=config.seed,
-            num_ctas=config.num_ctas,
-            warps_per_cta=config.warps_per_cta,
-        )
+        model = _tenant_model(tenant, config)
         kernel = replace(
             isolate_address_space(model.kernel_launch(), tenant.address_space),
             tenant=tenant.name,
@@ -181,6 +174,17 @@ def materialize_tenants(request: "MultiTenantRequest"):
         dram_bandwidth_scale=config.dram_bandwidth_scale,
     )
     return plans, gpu, config
+
+
+def _tenant_model(tenant, config) -> SyntheticKernelModel:
+    """The kernel model of one tenant of a co-located job."""
+    return SyntheticKernelModel(
+        tenant.spec(),
+        scale=config.scale,
+        seed=config.seed,
+        num_ctas=config.num_ctas,
+        warps_per_cta=config.warps_per_cta,
+    )
 
 
 def _is_multi_tenant(request) -> bool:
@@ -208,10 +212,11 @@ class ReferenceBackend:
 class LockstepBackend:
     """Cycle-by-cycle multi-SM execution against the shared L2/DRAM.
 
-    Every SM replays a trace on the vector engine's SM: the interned kernel
-    trace for a single-kernel request, and for a co-located request one
-    trace per tenant, built for this job from the tenant's address-isolated
-    kernel and shared by the tenant's SMs.  :func:`materialize` /
+    Every SM replays an interned kernel trace on the vector engine's SM:
+    the kernel's trace for a single-kernel request, and for a co-located
+    request each tenant's trace, keyed by its kernel and address colour, so
+    a co-located job, its isolated baselines and later rounds share one
+    packing per tenant identity.  :func:`materialize` /
     :func:`materialize_tenants` give the same job on plain reference SMs,
     which is the test oracle.
     """
@@ -221,13 +226,19 @@ class LockstepBackend:
     def execute(self, request: "SimulationRequest") -> SimulationResult:
         from repro.gpu.vector.backend import vector_machine
         from repro.gpu.vector.engine import VectorGPU
-        from repro.gpu.vector.trace import KernelTrace
+        from repro.gpu.vector.trace import kernel_trace_for_model
 
         if _is_multi_tenant(request):
+            request = request.canonicalize()
             plans, reference_gpu, config = materialize_tenants(request)
             sm_traces = {}
-            for plan in plans:
-                sm_traces.update(dict.fromkeys(plan.sm_ids, KernelTrace(plan.kernel)))
+            for tenant, plan in zip(request.tenants, plans):
+                trace = kernel_trace_for_model(
+                    _tenant_model(tenant, config),
+                    plan.kernel,
+                    address_space=tenant.address_space,
+                )
+                sm_traces.update(dict.fromkeys(plan.sm_ids, trace))
             gpu = VectorGPU(
                 reference_gpu.config,
                 scheduler_factory=reference_gpu.scheduler_factory,

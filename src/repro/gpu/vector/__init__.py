@@ -8,10 +8,11 @@ kernel, in pure stdlib Python:
 
 * :mod:`repro.gpu.vector.trace` — workload instruction streams are
   *packed once* per kernel identity, straight from the workload's ops,
-  into compact tables (instruction kinds, latency-1 ALU run ends,
-  pre-coalesced blocks per global access, and per-geometry set indices),
-  then interned so every request for the same kernel replays the same
-  tables.
+  into flat ``bytes``/``array`` tables (instruction kinds, latency-1 ALU
+  run ends, pre-coalesced blocks of every global access back to back,
+  scratchpad lane offsets, and per-geometry set indices), then interned
+  so every request for the same kernel — a co-located tenant's included —
+  replays the same tables.
 * :mod:`repro.gpu.vector.engine` — :class:`VectorSM` drives the same warp
   list, schedulers, caches and memory subsystem as the reference SM, but
   replays the trace, runs the global-memory path against the pre-coalesced,

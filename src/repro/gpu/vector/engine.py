@@ -23,13 +23,17 @@ changes is how much Python runs per simulated cycle:
   instruction, and the time series is sampled at the exact crossing
   instruction and cycle.
 * **Pre-coalesced memory path.**  Global memory instructions replay the
-  trace's pre-coalesced blocks: the coalescer's dictionary dedup and the
-  per-probe set-index hash are replaced by table lookups computed once per
-  kernel x geometry (:meth:`~repro.gpu.vector.trace.WarpTrace.sets_for_geometry`),
-  the L1D hit path is a fused probe that touches the same tag lines and
-  counters as ``Cache.access`` without its layered dispatch, and the miss
-  path runs a fused interconnect → L2 → DRAM walk with the L2 set index
-  precomputed by the same hash.  Scratchpad instructions replay
+  trace's pre-coalesced blocks from its flat tables: access ``k``'s blocks
+  start at ``first = mem_starts[k]`` in ``mem_flat``, and its L1D and L2
+  set indices sit at the same positions of two flat arrays computed once
+  per kernel x geometry
+  (:meth:`~repro.gpu.vector.trace.WarpTrace.sets_for_geometry`), so the
+  coalescer's dictionary dedup and the per-probe set-index hash become
+  index reads.  A one-transaction load reads ``mem_flat[first]`` and the
+  two set arrays at ``first`` and runs a fused probe that touches the same
+  tag lines and counters as ``Cache.access`` without its layered dispatch;
+  the miss path runs a fused interconnect → L2 → DRAM walk with the L2 set
+  index precomputed by the same hash.  Scratchpad instructions replay
   bank-conflict costs precomputed per CTA allocation
   (:meth:`~repro.gpu.vector.trace.WarpTrace.shared_costs_for`).
 * **Batched stall fast-forward.**  When nothing can issue, no memory event
@@ -50,12 +54,13 @@ primitives (``step_cycle`` and friends), which keep trace replay, the
 pre-coalesced memory path and the greedy-select fast path of
 :meth:`VectorSM._issue_cycle`.  Between lock-step cycles an SM that cannot
 act sleeps (:meth:`VectorSM.sleep_bound` / :meth:`VectorSM.wake`; the
-exactness argument is in :mod:`repro.gpu.lockstep`).  A finished SM releases
-its trace tables (:meth:`VectorSM.finalize`).
+exactness argument is in :mod:`repro.gpu.lockstep`).  A finished SM drops
+its references to the interned trace tables (:meth:`VectorSM.finalize`).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import replace
 from itertools import islice
@@ -63,10 +68,10 @@ from typing import Mapping, Optional
 
 from repro.gpu.cta import KernelLaunch
 from repro.gpu.gpu import GPU, SimulationResult
-from repro.gpu.instruction import KIND_CODE, InstructionKind
+from repro.gpu.instruction import KIND_CODE, WARP_LANES, InstructionKind
 from repro.gpu.sm import StreamingMultiprocessor
 from repro.gpu.stats import SMStats
-from repro.gpu.vector.trace import KernelTrace
+from repro.gpu.vector.trace import REPLAYED, KernelTrace
 from repro.mem.mshr import MSHRTarget
 
 _K_STORE = InstructionKind.STORE
@@ -96,10 +101,10 @@ class VectorSM(StreamingMultiprocessor):
         self._kernel_trace = kernel_trace
         #: wid -> WarpTrace of the resident warp occupying that slot.
         self._traces: dict[int, object] = {}
-        #: wid -> per-instruction L1D / L2 set-index tuples (aligned with
-        #: the trace's ``mem_blocks``), for this machine's cache geometries.
-        self._mem_sets: dict[int, list[tuple[int, ...]]] = {}
-        self._mem_sets_l2: dict[int, list[tuple[int, ...]]] = {}
+        #: wid -> L1D / L2 set indices aligned with the trace's
+        #: ``mem_flat``, for this machine's cache geometries.
+        self._mem_sets: dict[int, array] = {}
+        self._mem_sets_l2: dict[int, array] = {}
         #: wid -> per-scratchpad-instruction (cycles, rows) cost table.
         self._shared_costs: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
         self._l1d_geometry = (config.l1d.num_sets, config.l1d.set_hash)
@@ -116,8 +121,8 @@ class VectorSM(StreamingMultiprocessor):
         self._due_fn = None
         self._may_sleep = False
         #: ``(cycle, repeat)`` of the last refused global access, where
-        #: ``repeat`` is its ``(transactions, lanes, reservation failed)``
-        #: counter deltas, or ``None`` when they are unknown.
+        #: ``repeat`` is its ``(transactions, reservation failed)`` counter
+        #: deltas, or ``None`` when they are unknown.
         self._refused: Optional[tuple] = None
         #: The deltas a sleeping SM repeats per lock-step cycle it skips.
         self._repeat: Optional[tuple] = None
@@ -145,7 +150,7 @@ class VectorSM(StreamingMultiprocessor):
                 traces[wid] = warp_trace
                 mem_sets[wid] = warp_trace.sets_for_geometry(l1d_geometry)
                 mem_sets_l2[wid] = warp_trace.sets_for_geometry(l2_geometry)
-                if warp_trace.shared_addrs:
+                if warp_trace.shared_offsets:
                     entry = shared_memory.smmt.find(f"cta:{cta_index}")
                     base = entry.base if entry is not None else 0
                     limit = (
@@ -159,7 +164,7 @@ class VectorSM(StreamingMultiprocessor):
                         bank_width=shared_memory.BANK_WIDTH_BYTES,
                         num_banks=shared_memory.NUM_BANKS,
                     )
-                return iter(warp_trace.instructions)
+                return warp_trace.replay()
 
             kernel = replace(kernel, stream_factory=replay)
         self._greedy_warp = None
@@ -329,10 +334,11 @@ class VectorSM(StreamingMultiprocessor):
 
     def finalize(self, now: int) -> SMStats:
         stats = super().finalize(now)
-        # A finished SM lets go of its job's traces.  The SM sits in a
-        # reference cycle with its scheduler, so without this the tables and
-        # the replay closure (inside ``_kernel``) would live on until the
-        # cyclic garbage collector ran.
+        # A finished SM lets go of its job's traces, leaving the intern
+        # their only owner.  The SM sits in a reference cycle with its
+        # scheduler, so without this an evicted trace's tables and the
+        # replay closure (inside ``_kernel``) would live on until the cyclic
+        # garbage collector ran.
         self._kernel_trace = None
         self._kernel = None
         self._traces.clear()
@@ -389,11 +395,11 @@ class VectorSM(StreamingMultiprocessor):
         repeat = self._repeat
         if repeat is None or not repeats:
             return
-        transactions, lanes, reservation = repeat
+        transactions, reservation = repeat
         coalescer_stats = self.coalescer.stats
         coalescer_stats.instructions += repeats
         coalescer_stats.transactions += transactions * repeats
-        coalescer_stats.lanes += lanes * repeats
+        coalescer_stats.lanes += WARP_LANES * repeats
         coalescer_stats.histogram[transactions] += repeats
         stalls = self.stats.stalls
         stalls.mshr_full += repeats
@@ -442,7 +448,6 @@ class VectorSM(StreamingMultiprocessor):
         sticky_end = trace.sticky_end
         kind_codes = trace.kind_codes
         access_index = trace.access_index
-        instructions = trace.instructions
         stats = self.stats
         per_warp = stats.per_warp_instructions
         events = self._events
@@ -506,7 +511,7 @@ class VectorSM(StreamingMultiprocessor):
                         warp.instructions_issued += 1
                         stats.instructions_issued += 1
                         per_warp[wid] = per_warp.get(wid, 0) + 1
-                        notify(warp, instructions[j], cycle)
+                        notify(warp, REPLAYED[kind_codes[j]], cycle)
                         cycle += 1
                 else:
                     if notify_due is not None:
@@ -522,7 +527,7 @@ class VectorSM(StreamingMultiprocessor):
                     stats.instructions_issued += k
                     per_warp[wid] = per_warp.get(wid, 0) + k
                     if notify_due is not None and stats.instructions_issued >= notify_due:
-                        notify(warp, instructions[i + k - 1], now + k - 1)
+                        notify(warp, REPLAYED[kind_codes[i + k - 1]], now + k - 1)
                         notify_due = notify_due_fn()
                     # Greedy-tracking-only notify is skipped outright: the
                     # pointer already names this warp.
@@ -559,7 +564,7 @@ class VectorSM(StreamingMultiprocessor):
                 cta = self.ctas.get(warp.cta_id)
                 if cta is not None and cta.num_at_barrier == 0:
                     break
-            instruction = instructions[i]
+            instruction = REPLAYED[kind_code]
             self.cycle = now
             if kind_code == _C_LOAD or kind_code == _C_STORE:
                 ok = self._execute_global_traced(
@@ -648,7 +653,7 @@ class VectorSM(StreamingMultiprocessor):
         if trace is not None:
             index = warp.instructions_issued
             mem_ix = trace.access_index[index]
-            if mem_ix >= 0 and trace.instructions[index] is instruction:
+            if mem_ix >= 0 and REPLAYED[trace.kind_codes[index]] is instruction:
                 return self._execute_global_traced(
                     warp, trace, mem_ix, instruction, now
                 )
@@ -659,7 +664,7 @@ class VectorSM(StreamingMultiprocessor):
         self._refused = (now, None)  # deltas unknown: no sleeping on it
         return False
 
-    def _refuse(self, now: int, transactions: int, lanes: int, reservation: bool) -> bool:
+    def _refuse(self, now: int, transactions: int, reservation: bool) -> bool:
         """Count a global access refused for want of MSHR or L1D room.
 
         Keeps the attempt's counter deltas (beyond the coalescer accounting
@@ -669,13 +674,14 @@ class VectorSM(StreamingMultiprocessor):
         if reservation:
             stalls.reservation_fail += 1
         stalls.mshr_full += 1
-        self._refused = (now, (transactions, lanes, reservation))
+        self._refused = (now, (transactions, reservation))
         return False
 
     def _execute_global_traced(self, warp, trace, mem_ix, instruction, now):
-        blocks = trace.mem_blocks[mem_ix]
+        starts = trace.mem_starts
+        first = starts[mem_ix]
+        transactions = starts[mem_ix + 1] - first
         wid = warp.wid
-        sets = self._mem_sets[wid][mem_ix]
         is_write = instruction.kind is _K_STORE
         shared_cache = self.shared_cache
         use_shared = (
@@ -688,11 +694,9 @@ class VectorSM(StreamingMultiprocessor):
         # Coalescer accounting precedes the resource check, exactly like the
         # reference path (a replayed attempt is re-counted there too).
         coalescer_stats = self.coalescer.stats
-        transactions = len(blocks)
-        lanes = trace.mem_lanes[mem_ix]
         coalescer_stats.instructions += 1
         coalescer_stats.transactions += transactions
-        coalescer_stats.lanes += lanes
+        coalescer_stats.lanes += WARP_LANES
         coalescer_stats.histogram[transactions] = (
             coalescer_stats.histogram.get(transactions, 0) + 1
         )
@@ -700,18 +704,24 @@ class VectorSM(StreamingMultiprocessor):
         plain_load = not is_write and not use_shared and not bypass
         if plain_load and transactions == 1:
             return self._execute_single_load(
-                warp, blocks[0], sets[0], self._mem_sets_l2[wid][mem_ix][0], now, lanes
+                warp,
+                trace.mem_flat[first],
+                self._mem_sets[wid][first],
+                self._mem_sets_l2[wid][first],
+                now,
             )
-        if not is_write and not self._resources_ok(
-            blocks, sets, use_shared, bypass, now, lanes
-        ):
-            return False
-        stats.global_memory_instructions += 1
+        end = first + transactions
+        blocks = trace.mem_flat[first:end]
         if is_write:
+            stats.global_memory_instructions += 1
             for block in blocks:
                 self._issue_store(warp, block, now, use_shared)
             warp.ready_at = now + 1
             return True
+        sets = self._mem_sets[wid][first:end]
+        if not self._resources_ok(blocks, sets, use_shared, bypass, now):
+            return False
+        stats.global_memory_instructions += 1
         latency_floor = now + 1
         if not plain_load:
             for block in blocks:
@@ -727,7 +737,7 @@ class VectorSM(StreamingMultiprocessor):
         vta = self.vta
         notify = self._hooks.notify_global_access
         hit_latency = l1d.hit_latency
-        l2_sets = self._mem_sets_l2[wid][mem_ix]
+        l2_sets = self._mem_sets_l2[wid][first:end]
         mshr = self.mshr
         for position in range(transactions):
             block = blocks[position]
@@ -778,7 +788,7 @@ class VectorSM(StreamingMultiprocessor):
         warp.ready_at = latency_floor
         return True
 
-    def _execute_single_load(self, warp, block, set_index, l2_set, now, lanes):
+    def _execute_single_load(self, warp, block, set_index, l2_set, now):
         """Resource check + execution of a one-transaction L1D load, fused.
 
         With a single transaction nothing can mutate the set between the
@@ -796,15 +806,15 @@ class VectorSM(StreamingMultiprocessor):
         victim = None
         if entry is not None:
             if len(entry.targets) >= mshr.max_merged:
-                return self._refuse(now, 1, lanes, False)
+                return self._refuse(now, 1, False)
             if line is None:
                 victim = tags.find_victim(set_index)
         elif line is None:
             victim = tags.find_victim(set_index)
             if victim is None:
-                return self._refuse(now, 1, lanes, True)
+                return self._refuse(now, 1, True)
             if len(mshr._entries) >= mshr.num_entries:
-                return self._refuse(now, 1, lanes, False)
+                return self._refuse(now, 1, False)
         stats = self.stats
         stats.global_memory_instructions += 1
         notify = self._hooks.notify_global_access
@@ -980,7 +990,7 @@ class VectorSM(StreamingMultiprocessor):
             return super()._execute_scratchpad(warp, instruction, now)
         index = warp.instructions_issued
         shared_ix = trace.access_index[index]
-        if shared_ix < 0 or trace.instructions[index] is not instruction:
+        if shared_ix < 0 or REPLAYED[trace.kind_codes[index]] is not instruction:
             return super()._execute_scratchpad(warp, instruction, now)
         cycles, rows = costs[shared_ix]
         shared_stats = self.shared_memory.stats
@@ -992,7 +1002,7 @@ class VectorSM(StreamingMultiprocessor):
         return True
 
     def _resources_ok(
-        self, blocks, sets, use_shared: bool, bypass: bool, now: int, lanes: int
+        self, blocks, sets, use_shared: bool, bypass: bool, now: int
     ) -> bool:
         """``_memory_resources_available`` over pre-hashed transactions.
 
@@ -1010,7 +1020,7 @@ class VectorSM(StreamingMultiprocessor):
             entry = entries.get(block)
             if entry is not None:
                 if len(entry.targets) >= max_merged:
-                    return self._refuse(now, len(blocks), lanes, False)
+                    return self._refuse(now, len(blocks), False)
                 continue
             if probe_l1d:
                 line = None
@@ -1021,7 +1031,7 @@ class VectorSM(StreamingMultiprocessor):
                 if line is not None:
                     continue
                 if l1d.tags.find_victim(sets[position]) is None:
-                    return self._refuse(now, len(blocks), lanes, True)
+                    return self._refuse(now, len(blocks), True)
             elif (
                 use_shared
                 and self.shared_cache is not None
@@ -1030,7 +1040,7 @@ class VectorSM(StreamingMultiprocessor):
                 continue
             free_needed += 1
         if len(entries) + free_needed > mshr.num_entries:
-            return self._refuse(now, len(blocks), lanes, False)
+            return self._refuse(now, len(blocks), False)
         return True
 
 

@@ -203,18 +203,21 @@ class TestMultiTenantParity:
         assert result.machine.cycles == thrash.finish_cycle
 
 
-class TestTraceRelease:
-    def test_tenant_traces_die_with_the_job(self, monkeypatch):
-        """A job's tenant traces are freed when ``execute`` returns.
+class TestTraceIntern:
+    def test_tenant_traces_live_in_the_intern(self, monkeypatch):
+        """Tenant traces are interned per (kernel, address colour).
 
-        Each SM sits in a reference cycle with its scheduler, so only the
-        finished SMs dropping their trace tables lets plain reference
-        counting free the traces; the cyclic collector is kept off.
+        A co-located request and its isolated baselines pack one
+        ``KernelTrace`` per distinct (benchmark, colour), and running them
+        again packs none.  The finished SMs hold no reference, so with the
+        cyclic collector off, clearing the intern frees every trace: each SM
+        sits in a reference cycle with its scheduler, and only the SMs
+        dropping their trace tables lets plain reference counting do it.
         """
         import gc
         import weakref
 
-        from repro.gpu.vector.trace import KernelTrace
+        from repro.gpu.vector.trace import KernelTrace, clear_trace_cache
 
         built = []
         init = KernelTrace.__init__
@@ -228,13 +231,25 @@ class TestTraceRelease:
             tenants=(
                 TenantSpec("a", "ATAX", "gto", (0, 1), address_space=1),
                 TenantSpec("b", "SYRK", "ciao-c", (2,), address_space=2),
+                # The same kernel in the same colour shares a's trace; in
+                # another colour it is a distinct identity.
+                TenantSpec("c", "ATAX", "ccws", (3,), address_space=1),
+                TenantSpec("d", "ATAX", "gto", (4,), address_space=3),
             ),
             run_config=RunConfig(**SMALL),
         )
+        jobs = [request, *(request.isolated_request(t.name) for t in request.tenants)]
+        clear_trace_cache()
         gc.disable()
         try:
-            execute(request)
-            assert len(built) == len(request.tenants)
+            for job in jobs:
+                execute(job)
+            assert len(built) == 3
+            for job in jobs:
+                execute(job)
+            assert len(built) == 3
+            assert all(ref() is not None for ref in built)
+            clear_trace_cache()
             assert [ref() for ref in built] == [None] * len(built)
         finally:
             gc.enable()

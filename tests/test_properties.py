@@ -10,7 +10,7 @@ from strategies import multi_tenant_requests
 from repro.core.config import CIAOParameters
 from repro.core.interference import InterferenceDetector
 from repro.gpu.coalescer import Coalescer
-from repro.gpu.instruction import KIND_CODE, InstructionKind
+from repro.gpu.instruction import KIND_CODE, WARP_LANES, InstructionKind
 from repro.gpu.vector.trace import KernelTrace
 from repro.harness.reporting import geometric_mean
 from repro.mem.address import BLOCK_SIZE, AddressMapping
@@ -227,8 +227,10 @@ def test_packed_trace_matches_reference_coalescer(name, scale, seed, colour, cta
 
     The reference engine coalesces each global access's lane addresses and
     reads each scratchpad access's lane offsets; the trace packs the same
-    warp straight from its ops.  Every table must agree, including the
-    instruction kinds, the latency-1 ALU run ends and the access ordinals.
+    warp straight from its ops into flat tables.  Every table must agree,
+    including the instruction kinds, the latency-1 ALU run ends and the
+    access ordinals, and every global access must have ``WARP_LANES`` lanes
+    (the trace stores no lane count).
     """
     model = SyntheticKernelModel(get_benchmark(name), scale=scale, seed=seed)
     kernel = isolate_address_space(model.kernel_launch(), colour)
@@ -237,15 +239,16 @@ def test_packed_trace_matches_reference_coalescer(name, scale, seed, colour, cta
     packed = KernelTrace(kernel).warp(cta, warp)
     instructions = list(kernel.stream_factory(cta, warp, 0))
     coalescer = Coalescer()
-    access_index, mem_blocks, mem_lanes, shared_addrs = [], [], [], []
+    access_index, mem_starts, mem_flat, shared_offsets = [], [0], [], []
     for instruction in instructions:
         if instruction.is_global_memory:
-            access_index.append(len(mem_blocks))
-            mem_blocks.append(tuple(coalescer.coalesce(instruction.addresses)))
-            mem_lanes.append(len(instruction.addresses))
+            assert len(instruction.addresses) == WARP_LANES
+            access_index.append(len(mem_starts) - 1)
+            mem_flat.extend(coalescer.coalesce(instruction.addresses))
+            mem_starts.append(len(mem_flat))
         elif instruction.is_shared_memory:
-            access_index.append(len(shared_addrs))
-            shared_addrs.append(instruction.addresses)
+            access_index.append(len(shared_offsets) // WARP_LANES)
+            shared_offsets.extend(instruction.addresses)
         else:
             access_index.append(-1)
     sticky_end = []
@@ -255,9 +258,9 @@ def test_packed_trace_matches_reference_coalescer(name, scale, seed, colour, cta
             end += 1
         sticky_end.append(end)
     assert packed.kind_codes == bytes(KIND_CODE[i.kind] for i in instructions)
-    assert [i.kind for i in packed.instructions] == [i.kind for i in instructions]
+    assert [i.kind for i in packed.replay()] == [i.kind for i in instructions]
     assert list(packed.sticky_end) == sticky_end
     assert list(packed.access_index) == access_index
-    assert packed.mem_blocks == mem_blocks
-    assert list(packed.mem_lanes) == mem_lanes
-    assert packed.shared_addrs == shared_addrs
+    assert list(packed.mem_starts) == mem_starts
+    assert list(packed.mem_flat) == mem_flat
+    assert list(packed.shared_offsets) == shared_offsets

@@ -243,3 +243,47 @@ def test_trace_cache_is_bounded():
     entries, capacity = trace_cache_info()
     assert capacity == TRACE_CACHE_CAPACITY
     assert entries <= capacity
+
+
+# ---------------------------------------------------------------------------
+# Trace layout
+# ---------------------------------------------------------------------------
+def test_packed_trace_holds_only_flat_tables():
+    """A packed warp trace is ``bytes`` and ``array`` tables, nothing else.
+
+    Per-access tuples and a per-warp instruction list held most of a trace's
+    memory; the engine reads flat tables instead, set indices included, and
+    replays each instruction from its kind code.
+    """
+    from array import array
+
+    from repro.gpu.vector.trace import REPLAYED, KernelTrace, WarpTrace
+    from repro.workloads import get_benchmark
+    from repro.workloads.synthetic import SyntheticKernelModel
+
+    # SS has scratchpad accesses and two-block (divergent) global accesses.
+    model = SyntheticKernelModel(get_benchmark("SS"), scale=0.05, seed=3)
+    trace = KernelTrace(model.kernel_launch()).warp(0, 0)
+    assert len(trace.shared_offsets) > 0
+    assert len(trace.mem_flat) > len(trace.mem_starts) - 1
+    small = trace.sets_for_geometry((32, "xor"))
+    large = trace.sets_for_geometry((70_000, "linear"))
+    assert not hasattr(trace, "__dict__")
+    for name in WarpTrace.__slots__:
+        value = getattr(trace, name)
+        if name == "_sets_by_geometry":
+            tables = list(value.values())
+        elif name == "_shared_costs":
+            assert value == {}  # filled per CTA allocation at admission
+            continue
+        else:
+            tables = [value]
+        for table in tables:
+            assert isinstance(table, (bytes, array)), (name, type(table))
+    assert (small.typecode, large.typecode) == ("H", "i")
+    replayed = list(trace.replay())
+    assert len(replayed) == len(trace) == len(trace.kind_codes)
+    assert all(
+        instruction is REPLAYED[code]
+        for instruction, code in zip(replayed, trace.kind_codes)
+    )
