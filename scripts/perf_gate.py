@@ -17,15 +17,23 @@ by more than the parent's interquartile range.  A metric whose parent
 interquartile range is already wider than its bound cannot be judged from
 these runs: it reads ``unresolved`` and does not fail, unless every change
 run beats every parent run, which reads ``ok``.  Stdlib only.
+
+Each side's runs write their bytecode under a fresh ``PYTHONPYCACHEPREFIX``
+of their own, kept for the whole gate, with ``PYTHONDONTWRITEBYTECODE``
+unset: both trees start with no compiled modules and warm them the same
+way, whatever ``__pycache__`` directories either tree holds, so bytecode
+left on disk cannot bias ``setup_s``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 #: One pair of runs per seed; pair ``i`` runs the parent first when ``i`` is even.
@@ -37,8 +45,17 @@ def run_ok(run: dict) -> bool:
     return run.get("correct") is True and run.get("failed") == 0
 
 
+def child_env(pycache_prefix: Path) -> dict[str, str]:
+    """The environment of one side's runs: this one, but with bytecode
+    written (and read) only under ``pycache_prefix``."""
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env["PYTHONPYCACHEPREFIX"] = str(pycache_prefix)
+    return env
+
+
 def run_perfbench(root: Path, command: list[str], workload: str, seed: int,
-                  seconds: int) -> dict:
+                  seconds: int, env: dict[str, str]) -> dict:
     """One untraced perfbench run in ``root``; its JSON verdict line.
 
     A run that exits non-zero or ends without a verdict line comes back as
@@ -46,7 +63,7 @@ def run_perfbench(root: Path, command: list[str], workload: str, seed: int,
     """
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         verdict = json.loads(lines[-1])
@@ -145,12 +162,14 @@ def main(argv: list[str] | None = None) -> int:
     roots = {"parent": base, "change": Path.cwd()}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     metrics = spec["end_to_end"]
-    for index, seed in enumerate(SEEDS):
-        for side in ("parent", "change") if index % 2 == 0 else ("change", "parent"):
-            run = run_perfbench(roots[side], spec["command"], args.workload, seed,
-                                spec["run_seconds"])
-            runs[side].append(run)
-            print(format_run(side, seed, run, metrics), flush=True)
+    with tempfile.TemporaryDirectory(prefix="perf_gate-") as pycache:
+        envs = {side: child_env(Path(pycache) / side) for side in roots}
+        for index, seed in enumerate(SEEDS):
+            for side in ("parent", "change") if index % 2 == 0 else ("change", "parent"):
+                run = run_perfbench(roots[side], spec["command"], args.workload,
+                                    seed, spec["run_seconds"], envs[side])
+                runs[side].append(run)
+                print(format_run(side, seed, run, metrics), flush=True)
     rows, code = gate(metrics, runs["parent"], runs["change"])
     print(f"\n{args.workload}: {len(SEEDS)} pairs, {spec['run_seconds']} s runs, "
           f"parent {base}")

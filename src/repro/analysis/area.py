@@ -17,7 +17,7 @@ overhead stays far below the 2% claim for reasonable configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: GTX 480 die area in mm^2 (paper cites 529 mm^2).
 GTX480_DIE_MM2 = 529.0

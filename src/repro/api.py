@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
+import json
 import re
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional, Sequence, Union
@@ -67,8 +69,8 @@ def register_serializable(cls: type) -> type:
     """Register a dataclass or enum for :func:`encode_value` round-trips.
 
     Usable as a decorator.  Registration is by class name, which therefore
-    must be unique across the package (it already is — the cache's
-    ``canonicalize`` relies on the same property).
+    must be unique across the package (it already is — the cache keys of
+    :func:`content_key` rely on the same property).
     """
     name = cls.__name__
     existing = _SERIALIZABLE.get(name)
@@ -76,6 +78,11 @@ def register_serializable(cls: type) -> type:
         raise ValueError(f"serializable name collision: {name!r}")
     _SERIALIZABLE[name] = cls
     return cls
+
+
+#: Exact leaf types :func:`encode_value` passes through unchanged (an enum
+#: that mixes in ``int`` or ``str`` is not one of them).
+_JSON_LEAVES = (bool, int, float, str)
 
 
 def encode_value(value: Any) -> Any:
@@ -87,6 +94,8 @@ def encode_value(value: Any) -> Any:
     ``{"__map__": [[k, v], ...]}``; everything composes recursively.
     ``decode_value`` restores an equal object graph.
     """
+    if value is None or type(value) in _JSON_LEAVES:
+        return value  # the common case first: most of a graph is leaves
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         name = type(value).__name__
         if _SERIALIZABLE.get(name) is not type(value):
@@ -152,6 +161,30 @@ def check_schema(payload: Mapping[str, Any], kind: str, schema: int) -> None:
         )
 
 
+def content_key(canonical: Any, code_version: Optional[str] = None) -> str:
+    """The result-cache key of a request already in its key form.
+
+    The one identity codec behind both requests' ``cache_key``: a SHA-256
+    over the :func:`encode_value` wire form of ``canonical`` plus the code
+    version (:func:`repro.harness.cache.code_fingerprint` unless pinned).
+    Callers pass the canonical request with ``tag`` dropped, every
+    benchmark name expanded to its full :class:`BenchmarkSpec` and, for a
+    co-located request, ``total_sms`` resolved to ``machine_sms()``, so two
+    spellings of one job share a key.  JSON floats round-trip through
+    ``repr``, so nearby floats never alias.  The scheduler's constructor
+    kwargs are not hashed: they derive from the spec and the
+    :class:`RunConfig`, which are.
+    """
+    from repro.harness.cache import code_fingerprint
+
+    payload = {
+        "code": code_version if code_version is not None else code_fingerprint(),
+        "request": encode_value(canonical),
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # RunConfig (moved here from repro.harness.runner, which re-exports it)
 # ---------------------------------------------------------------------------
@@ -198,9 +231,29 @@ def scheduler_kwargs_for(
 # ---------------------------------------------------------------------------
 # The canonical job descriptor
 # ---------------------------------------------------------------------------
+class _RunsBenchmark:
+    """Name and spec of a descriptor's ``benchmark`` (a name or a spec)."""
+
+    benchmark: Union[str, BenchmarkSpec]
+
+    @property
+    def benchmark_name(self) -> str:
+        return (
+            self.benchmark.name
+            if isinstance(self.benchmark, BenchmarkSpec)
+            else str(self.benchmark)
+        )
+
+    def spec(self) -> BenchmarkSpec:
+        """The resolved benchmark specification."""
+        if isinstance(self.benchmark, BenchmarkSpec):
+            return self.benchmark
+        return get_benchmark(self.benchmark)
+
+
 @register_serializable
 @dataclass(frozen=True)
-class SimulationRequest:
+class SimulationRequest(_RunsBenchmark):
     """One fully-specified simulation: benchmark x scheduler x config.
 
     This is the single job descriptor shared by :func:`run_benchmark`, the
@@ -218,20 +271,6 @@ class SimulationRequest:
     backend: Optional[str] = None
 
     # -- identity ------------------------------------------------------
-    @property
-    def benchmark_name(self) -> str:
-        return (
-            self.benchmark.name
-            if isinstance(self.benchmark, BenchmarkSpec)
-            else str(self.benchmark)
-        )
-
-    def spec(self) -> BenchmarkSpec:
-        """The resolved benchmark specification."""
-        if isinstance(self.benchmark, BenchmarkSpec):
-            return self.benchmark
-        return get_benchmark(self.benchmark)
-
     def scheduler_kwargs(self) -> dict:
         """Constructor kwargs the scheduler receives for this request."""
         return scheduler_kwargs_for(self.scheduler, self.spec(), self.run_config)
@@ -250,8 +289,6 @@ class SimulationRequest:
         concrete resolved name (environment default applied).  Unknown
         names raise ``KeyError`` here rather than mid-simulation.
         """
-        from repro.backends import resolve_backend_name
-
         benchmark = (
             self.benchmark
             if isinstance(self.benchmark, BenchmarkSpec)
@@ -261,24 +298,14 @@ class SimulationRequest:
             self,
             benchmark=benchmark,
             scheduler=canonical_scheduler_name(self.scheduler),
-            backend=resolve_backend_name(self.backend),
+            backend=self.resolved_backend(),
         )
 
     def cache_key(self, *, code_version: Optional[str] = None) -> str:
-        """Content hash identifying this job (see :mod:`repro.harness.cache`)."""
-        from repro.backends import resolve_backend_name
-        from repro.harness.cache import job_key
-
-        spec = self.spec()
-        scheduler = canonical_scheduler_name(self.scheduler)
-        kwargs = scheduler_kwargs_for(scheduler, spec, self.run_config)
-        return job_key(
-            spec,
-            scheduler,
-            kwargs,
-            self.run_config,
-            backend=resolve_backend_name(self.backend),
-            code_version=code_version,
+        """Content hash identifying this job (see :func:`content_key`)."""
+        canonical = self.canonicalize()
+        return content_key(
+            replace(canonical, benchmark=canonical.spec(), tag=None), code_version
         )
 
     # -- wire format ---------------------------------------------------
@@ -310,7 +337,7 @@ _TENANT_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.+-]*$")
 
 @register_serializable
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(_RunsBenchmark):
     """One tenant of a co-located launch: kernel x scheduler x SM partition.
 
     ``sm_ids`` are the machine SM slots this tenant owns; across a
@@ -338,20 +365,6 @@ class TenantSpec:
     sm_ids: tuple[int, ...] = ()
     address_space: int = 0
     launch_cycle: int = 0
-
-    @property
-    def benchmark_name(self) -> str:
-        return (
-            self.benchmark.name
-            if isinstance(self.benchmark, BenchmarkSpec)
-            else str(self.benchmark)
-        )
-
-    def spec(self) -> BenchmarkSpec:
-        """The resolved benchmark specification."""
-        if isinstance(self.benchmark, BenchmarkSpec):
-            return self.benchmark
-        return get_benchmark(self.benchmark)
 
     def scheduler_kwargs(self, run_config: RunConfig) -> dict:
         """Constructor kwargs this tenant's scheduler receives."""
@@ -499,28 +512,20 @@ class MultiTenantRequest:
         return canonical
 
     def cache_key(self, *, code_version: Optional[str] = None) -> str:
-        """Content hash identifying this job (partition-sensitive)."""
-        from repro.harness.cache import multi_tenant_job_key
+        """Content hash identifying this job (see :func:`content_key`).
 
+        Partition-sensitive: the tenants' SM ids and the machine size are
+        part of the key, because they change how the tenants contend.
+        """
         canonical = self.canonicalize()
-        tenant_payloads = [
-            {
-                "name": t.name,
-                "benchmark": t.spec(),
-                "scheduler": t.scheduler,
-                "scheduler_kwargs": t.scheduler_kwargs(canonical.run_config),
-                "sm_ids": list(t.sm_ids),
-                "address_space": t.address_space,
-                "launch_cycle": t.launch_cycle,
-            }
-            for t in canonical.tenants
-        ]
-        tenant_payloads.append({"machine_sms": canonical.machine_sms()})
-        return multi_tenant_job_key(
-            tenant_payloads,
-            canonical.run_config,
-            backend=canonical.backend,
-            code_version=code_version,
+        return content_key(
+            replace(
+                canonical,
+                tenants=tuple(replace(t, benchmark=t.spec()) for t in canonical.tenants),
+                tag=None,
+                total_sms=canonical.machine_sms(),
+            ),
+            code_version,
         )
 
     def isolated_request(self, name: str) -> "MultiTenantRequest":

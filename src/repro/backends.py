@@ -108,15 +108,8 @@ def materialize_model(request: "SimulationRequest"):
     key its trace intern cache).
     """
     request = request.canonicalize()
-    spec = request.spec()
     config = request.run_config
-    model = SyntheticKernelModel(
-        spec,
-        scale=config.scale,
-        seed=config.seed,
-        num_ctas=config.num_ctas,
-        warps_per_cta=config.warps_per_cta,
-    )
+    model = _kernel_model(request.spec(), config)
     kernel = model.kernel_launch()
     scheduler = canonical_scheduler_name(request.scheduler)
     return request, scheduler, model, kernel, config
@@ -150,7 +143,7 @@ def materialize_tenants(request: "MultiTenantRequest"):
     config = request.run_config
     plans: list[TenantPlan] = []
     for tenant in request.tenants:
-        model = _tenant_model(tenant, config)
+        model = _kernel_model(tenant.spec(), config)
         kernel = replace(
             isolate_address_space(model.kernel_launch(), tenant.address_space),
             tenant=tenant.name,
@@ -176,10 +169,11 @@ def materialize_tenants(request: "MultiTenantRequest"):
     return plans, gpu, config
 
 
-def _tenant_model(tenant, config) -> SyntheticKernelModel:
-    """The kernel model of one tenant of a co-located job."""
+def _kernel_model(spec, config) -> SyntheticKernelModel:
+    """The kernel model of ``spec`` sized by ``config`` (a single-kernel
+    job's, or one tenant's of a co-located job)."""
     return SyntheticKernelModel(
-        tenant.spec(),
+        spec,
         scale=config.scale,
         seed=config.seed,
         num_ctas=config.num_ctas,
@@ -234,7 +228,7 @@ class LockstepBackend:
             sm_traces = {}
             for tenant, plan in zip(request.tenants, plans):
                 trace = kernel_trace_for_model(
-                    _tenant_model(tenant, config),
+                    _kernel_model(tenant.spec(), config),
                     plan.kernel,
                     address_space=tenant.address_space,
                 )

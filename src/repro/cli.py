@@ -75,15 +75,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.api import MultiTenantRequest, SimulationRequest, TenantSpec
+from repro.analysis.metrics import normalized_ipc_table, speedup_summary
+from repro.api import RESULT_SCHEMA, MultiTenantRequest, SimulationRequest, TenantSpec
 from repro.backends import (
     BackendUnavailableError,
+    backend_availability,
     backend_names,
     resolve_backend_name,
 )
 from repro.harness.cache import ResultCache, cache_enabled_by_env, default_cache_dir
+from repro.harness.integrity import default_quarantine_dir, fsck, quarantined_artifacts
 from repro.harness.ledger import (
     is_sweep,
     ledger_path,
@@ -92,7 +96,6 @@ from repro.harness.ledger import (
     summarize_ledger,
 )
 from repro.harness.parallel import (
-    JobFailure,
     RetryPolicy,
     SweepError,
     derive_seed,
@@ -126,6 +129,17 @@ REPRODUCE_TARGETS = {
 }
 
 
+def _emit_json(payload, out: Optional[str] = None) -> None:
+    """Print ``payload`` as indented JSON, or write it to ``out``."""
+    text = json.dumps(payload, indent=2, default=str)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+        print(f"wrote {out}", file=sys.stderr)
+    else:
+        print(text)
+
+
 def _cache_from_args(args) -> Optional[ResultCache]:
     if getattr(args, "no_cache", False) or not cache_enabled_by_env():
         return None
@@ -145,14 +159,35 @@ def _add_sweep_options(
                              "run defaults to the scenario's pinned seed)"
                         if seed_default is None else
                         "base workload RNG seed (default 1)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="process-pool size (default: REPRO_WORKERS or CPU count)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the on-disk result cache for this invocation")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="execution engine, one of: "
-                             f"{', '.join(backend_names())} (or any registered "
-                             "alias; default: REPRO_BACKEND or 'reference')")
+
+
+def _option_parents() -> dict[str, argparse.ArgumentParser]:
+    """argparse parents of the flags that mean the same in every command."""
+    parents = {
+        name: argparse.ArgumentParser(add_help=False)
+        for name in ("workers", "no_cache", "backend")
+    }
+    parents["workers"].add_argument(
+        "--workers", type=int, default=None,
+        help="process-pool size (default: REPRO_WORKERS or CPU count)")
+    parents["no_cache"].add_argument(
+        "--no-cache", action="store_true",
+        help="bypass the on-disk result cache for this invocation (a daemon "
+             "then simulates every distinct request)")
+    parents["backend"].add_argument(
+        "--backend", default=None, metavar="NAME",
+        help="execution engine (a daemon's engine for requests that do not "
+             f"pin one), one of: {', '.join(backend_names())} (or any "
+             "registered alias; default: REPRO_BACKEND or 'reference')")
+    return parents
+
+
+def _run_config(args) -> RunConfig:
+    """``repro run``'s RunConfig: ``--scale``/``--seed``, else 0.3 and 1."""
+    return RunConfig(
+        scale=args.scale if args.scale is not None else 0.3,
+        seed=args.seed if args.seed is not None else 1,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +225,13 @@ def parse_tenant_specs(text: str, *, default_scheduler: str = "gto") -> tuple[Te
         if at:
             try:
                 launch_cycle = int(cycle_text)
+                if launch_cycle < 0:
+                    raise ValueError
             except ValueError:
                 raise ValueError(
                     f"bad launch cycle {cycle_text!r} in tenant {entry!r} "
                     "(need a non-negative int after '@')"
                 ) from None
-            if launch_cycle < 0:
-                raise ValueError(
-                    f"bad launch cycle {cycle_text!r} in tenant {entry!r} "
-                    "(need a non-negative int after '@')"
-                )
         lo, dash, hi = sms_text.partition("-")
         try:
             first = int(lo)
@@ -232,9 +264,8 @@ def _cmd_run_tenants(args) -> int:
     from repro.scenarios.library import colocation_scenario
 
     if args.benchmark or args.schedulers:
-        print("error: --tenants/--scenario replaces the positional "
-              "BENCH [SCHED ...] arguments", file=sys.stderr)
-        return 2
+        raise ValueError("--tenants/--scenario replaces the positional "
+                         "BENCH [SCHED ...] arguments")
     if args.scenario:
         request = colocation_scenario(
             args.scenario, scale=args.scale, seed=args.seed, backend=args.backend
@@ -243,29 +274,19 @@ def _cmd_run_tenants(args) -> int:
     else:
         request = MultiTenantRequest(
             tenants=parse_tenant_specs(args.tenants),
-            run_config=RunConfig(
-                scale=args.scale if args.scale is not None else 0.3,
-                seed=args.seed if args.seed is not None else 1,
-            ),
+            run_config=_run_config(args),
             backend=args.backend,
         )
         with_isolated = args.isolated
     request.canonicalize()  # fail fast on bad partitions / unknown names
 
-    jobs = [request]
-    if with_isolated:
-        jobs += [request.isolated_request(t.name) for t in request.tenants]
-    cache = _cache_from_args(args)
-    outcome = run_jobs(jobs, workers=args.workers, cache=cache)
+    from repro.harness.experiments import colocation_report
+
+    outcome, slowdowns = colocation_report(
+        request, isolated=with_isolated, workers=args.workers,
+        cache=_cache_from_args(args),
+    )
     colocated = outcome.results[0]
-    isolated = {
-        tenant.name: result
-        for tenant, result in zip(request.tenants, outcome.results[1:])
-    }
-
-    from repro.analysis.metrics import tenant_slowdowns
-
-    slowdowns = tenant_slowdowns(colocated, isolated) if with_isolated else {}
     staggered = any(t.launch_cycle for t in request.tenants)
     rows = []
     for tenant in request.tenants:
@@ -289,23 +310,16 @@ def _cmd_run_tenants(args) -> int:
         rows.append(row)
 
     if args.json:
-        from repro.api import RESULT_SCHEMA
-
-        json.dump(
-            {
-                "scenario": args.scenario,
-                "tenants": rows,
-                "per_tenant": slowdowns or None,
-                "inter_sm_dram_conflicts": colocated.inter_sm_dram_conflicts,
-                "backend": colocated.backend,
-                "scale": request.run_config.scale,
-                "seed": request.run_config.seed,
-                "result_schema": RESULT_SCHEMA,
-            },
-            sys.stdout,
-            indent=2,
-        )
-        print()
+        _emit_json({
+            "scenario": args.scenario,
+            "tenants": rows,
+            "per_tenant": slowdowns or None,
+            "inter_sm_dram_conflicts": colocated.inter_sm_dram_conflicts,
+            "backend": colocated.backend,
+            "scale": request.run_config.scale,
+            "seed": request.run_config.seed,
+            "result_schema": RESULT_SCHEMA,
+        })
     else:
         title = f"scenario {args.scenario}" if args.scenario else "co-located tenants"
         print(f"{title} @ scale {request.run_config.scale}, "
@@ -319,23 +333,16 @@ def _cmd_run_tenants(args) -> int:
 
 def cmd_run(args) -> int:
     if args.tenants and args.scenario:
-        print("error: use either --tenants or --scenario, not both", file=sys.stderr)
-        return 2
+        raise ValueError("use either --tenants or --scenario, not both")
     if args.tenants or args.scenario:
         return _cmd_run_tenants(args)
     if not args.benchmark:
-        print("error: benchmark argument required (or use --tenants/--scenario)",
-              file=sys.stderr)
-        return 2
+        raise ValueError("benchmark argument required (or use --tenants/--scenario)")
     if args.isolated:
-        print("error: --isolated only applies to --tenants/--scenario runs",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--isolated only applies to --tenants/--scenario runs")
     get_benchmark(args.benchmark)  # validate up front for a clean error
     schedulers = [canonical_scheduler_name(s) for s in (args.schedulers or ["gto"])]
-    scale = args.scale if args.scale is not None else 0.3
-    seed = args.seed if args.seed is not None else 1
-    config = RunConfig(scale=scale, seed=seed)
+    config = _run_config(args)
     jobs = [
         SimulationRequest(args.benchmark, sched, config, backend=args.backend)
         for sched in schedulers
@@ -356,21 +363,14 @@ def cmd_run(args) -> int:
             "mean_active_warps": stats.active_warp_series.mean(),
         })
     if args.json:
-        from repro.api import RESULT_SCHEMA
-
-        json.dump(
-            {
-                "benchmark": args.benchmark,
-                "rows": rows,
-                "backend": outcome.stats.backend,
-                "result_schema": RESULT_SCHEMA,
-            },
-            sys.stdout,
-            indent=2,
-        )
-        print()
+        _emit_json({
+            "benchmark": args.benchmark,
+            "rows": rows,
+            "backend": outcome.stats.backend,
+            "result_schema": RESULT_SCHEMA,
+        })
     else:
-        print(f"{args.benchmark} @ scale {scale}, seed {seed}")
+        print(f"{args.benchmark} @ scale {config.scale}, seed {config.seed}")
         print(format_table(rows))
         print(format_sweep_stats(outcome.stats))
     return 0
@@ -416,17 +416,14 @@ def cmd_sweep(args) -> int:
 
     manifest = args.resume or args.manifest
     if args.resume and args.manifest and args.resume != args.manifest:
-        print("error: --resume and --manifest name different files",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--resume and --manifest name different files")
 
     retry = _sweep_retry_policy(args)
 
     if args.audit_rate and not (args.workers_at or args.worker_roster):
-        print("error: --audit-rate only applies to distributed sweeps "
-              "(--workers-at / --worker-roster); local jobs execute in this "
-              "process and need no re-verification", file=sys.stderr)
-        return 2
+        raise ValueError("--audit-rate only applies to distributed sweeps "
+                         "(--workers-at / --worker-roster); local jobs execute "
+                         "in this process and need no re-verification")
 
     jobs = []
     for bench in benchmarks:
@@ -485,20 +482,16 @@ def cmd_sweep(args) -> int:
         )
 
     failures = outcome.failures()
-    raw: dict[str, dict[str, float]] = {}
-    for job, result in outcome:
-        if isinstance(result, JobFailure):
-            continue
-        raw.setdefault(job.benchmark_name, {})[job.scheduler] = result.ipc
-    baseline = schedulers[0]
-    normalized = {
-        bench: {
-            sched: (row.get(sched, 0.0) / row[baseline]
-                    if row.get(baseline) else 0.0)
-            for sched in schedulers
-        }
-        for bench, row in raw.items()
+    grid = outcome.nested()
+    raw = {
+        bench: {sched: result.ipc for sched, result in row.items()}
+        for bench, row in grid.items()
     }
+    # Failed jobs leave the grid, and a benchmark whose baseline failed has
+    # nothing to normalise against, so no failed cell is counted as 0.0.
+    baseline = schedulers[0]
+    grid = {bench: row for bench, row in grid.items() if baseline in row}
+    normalized = normalized_ipc_table(grid, baseline)
     stats = outcome.stats
     if outcome.manifest_skipped:
         # Unparseable manifest lines (torn tail from a crash, bit rot) are
@@ -507,56 +500,46 @@ def cmd_sweep(args) -> int:
               f"line(s) in {manifest}; run `repro cache fsck --manifest "
               f"{manifest} --repair` to quarantine the damage", file=sys.stderr)
     if args.json:
-        json.dump(
-            {
-                "benchmarks": benchmarks,
-                "schedulers": schedulers,
-                "raw_ipc": raw,
-                "normalized_ipc": normalized,
-                "baseline": baseline,
-                "backend": stats.backend,
-                "executed": stats.executed,
-                "cache_hits": stats.cache_hits,
-                "failed": stats.failed,
-                "retried": stats.retried,
-                "timed_out": stats.timed_out,
-                "audited": stats.audited,
-                "audit_failures": stats.audit_failures,
-                "corrupt": stats.corrupt,
-                "manifest_skipped": outcome.manifest_skipped,
-                "failures": [
-                    {
-                        "benchmark": f.benchmark_name,
-                        "scheduler": f.scheduler,
-                        "error_type": f.error_type,
-                        "error": f.error,
-                        "attempts": f.attempts,
-                        "timed_out": f.timed_out,
-                    }
-                    for f in failures
-                ],
-            },
-            sys.stdout,
-            indent=2,
-        )
-        print()
+        _emit_json({
+            "benchmarks": benchmarks,
+            "schedulers": schedulers,
+            "raw_ipc": raw,
+            "normalized_ipc": normalized,
+            "baseline": baseline,
+            "backend": stats.backend,
+            "executed": stats.executed,
+            "cache_hits": stats.cache_hits,
+            "failed": stats.failed,
+            "retried": stats.retried,
+            "timed_out": stats.timed_out,
+            "audited": stats.audited,
+            "audit_failures": stats.audit_failures,
+            "corrupt": stats.corrupt,
+            "manifest_skipped": outcome.manifest_skipped,
+            "failures": [
+                {
+                    "benchmark": f.benchmark_name,
+                    "scheduler": f.scheduler,
+                    "error_type": f.error_type,
+                    "error": f.error,
+                    "attempts": f.attempts,
+                    "timed_out": f.timed_out,
+                }
+                for f in failures
+            ],
+        })
         return 1 if failures else 0
 
-    rows = [
-        {"benchmark": bench, **{s: normalized[bench][s] for s in schedulers}}
-        for bench in benchmarks
-        if bench in normalized
-    ]
     print(f"IPC normalised to {baseline} (scale {args.scale}, seed {args.seed}"
           f"{', per-job seeds' if args.seed_per_job else ''}):")
-    print(format_table(rows))
-    from repro.harness.reporting import geometric_mean
-
-    complete = [b for b in benchmarks if b in normalized]
+    print(format_table(
+        [{"benchmark": bench, **row} for bench, row in normalized.items()],
+        columns=["benchmark", *dict.fromkeys(schedulers)],
+    ))
+    geomeans = speedup_summary(grid, baseline)
     print("\nGeomean speedup over", baseline + ":")
     for sched in schedulers:
-        gm = geometric_mean(normalized[b][sched] for b in complete)
-        print(f"  {sched:10s} {gm:.3f}")
+        print(f"  {sched:10s} {geomeans.get(sched, 0.0):.3f}")
     print()
     print(format_sweep_stats(stats, cache.stats if cache else None))
     if failures:
@@ -601,14 +584,7 @@ def cmd_reproduce(args) -> int:
         print(f"reproducing {figure} ({REPRODUCE_TARGETS[figure]}) ...", file=sys.stderr)
         output[figure] = fn(**kwargs)
 
-    payload = output if len(targets) > 1 else output[targets[0]]
-    text = json.dumps(payload, indent=2, default=str)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        print(text)
+    _emit_json(output if len(targets) > 1 else output[targets[0]], args.out)
     if cache is not None:
         print(
             f"cache: {cache.stats.hits} hits / {cache.stats.lookups} lookups "
@@ -628,10 +604,6 @@ def _cmd_cache_fsck(args, cache: ResultCache) -> int:
     disk; a scan that merely *found* (and quarantined) damage exits 1 so
     scripts notice, and a following ``--repair`` run exits 0.
     """
-    from pathlib import Path
-
-    from repro.harness.integrity import default_quarantine_dir, fsck
-
     ledger = Path(args.fsck_ledger) if args.fsck_ledger else ledger_path()
     report = fsck(
         cache=cache,
@@ -640,8 +612,7 @@ def _cmd_cache_fsck(args, cache: ResultCache) -> int:
         repair=args.repair,
     )
     if args.json:
-        json.dump(report.to_dict(), sys.stdout, indent=2)
-        print()
+        _emit_json(report.to_dict())
         return 0 if report.clean else 1
     for artifact in report.artifacts:
         notes = []
@@ -751,8 +722,6 @@ def cmd_cache(args) -> int:
     print(f"size            : {cache.size_bytes() / 1024:.1f} KiB")
     sweeps = sum(map(is_sweep, read_ledger()))
     print(f"bench ledger    : {ledger_path()} ({sweeps} sweeps recorded)")
-    from repro.harness.integrity import default_quarantine_dir, quarantined_artifacts
-
     quarantined = quarantined_artifacts()
     if quarantined:
         print(f"quarantine      : {len(quarantined)} artifact(s) in "
@@ -760,26 +729,37 @@ def cmd_cache(args) -> int:
     return 0
 
 
+def _backend_notes() -> list[str]:
+    """Every registered backend, with the reason when it is unavailable."""
+    return [
+        name if reason is None else f"{name} (unavailable: {reason})"
+        for name, reason in backend_availability().items()
+    ]
+
+
+def _tenants_text(scenario) -> str:
+    """A scenario's tenants as comma-separated ``BENCH/SCHED:SMS`` entries."""
+    return ", ".join(
+        f"{bench}/{sched}:{'+'.join(str(i) for i in sms)}"
+        for _, bench, sched, sms in scenario.tenants
+    )
+
+
 def cmd_list(args) -> int:
     if args.backends:
-        from repro.backends import backend_availability
-
-        for name, reason in backend_availability().items():
-            print(name if reason is None else f"{name} (unavailable: {reason})")
+        for note in _backend_notes():
+            print(note)
         return 0
     if args.scenarios:
         from repro.scenarios.library import COLOCATION_SCENARIOS
 
         for scenario in COLOCATION_SCENARIOS.values():
-            tenants = ", ".join(
-                f"{bench}/{sched}:{'+'.join(str(i) for i in sms)}"
-                for _, bench, sched, sms in scenario.tenants
-            )
             stagger = (
                 " launches @" + "/".join(str(c) for c in scenario.launch_cycles)
                 if scenario.launch_cycles else ""
             )
-            print(f"{scenario.name:20s} {scenario.description} [{tenants}]{stagger}")
+            print(f"{scenario.name:20s} {scenario.description} "
+                  f"[{_tenants_text(scenario)}]{stagger}")
         return 0
     print("Benchmarks (Table II order):")
     rows = [
@@ -795,14 +775,8 @@ def cmd_list(args) -> int:
     print(format_table(rows))
     from repro.scenarios.library import colocation_scenario_names
 
-    from repro.backends import backend_availability
-
-    backend_notes = [
-        name if reason is None else f"{name} (unavailable: {reason})"
-        for name, reason in backend_availability().items()
-    ]
     print("\nSchedulers:", ", ".join(scheduler_names()))
-    print("Backends:", ", ".join(backend_notes),
+    print("Backends:", ", ".join(_backend_notes()),
           "(select with --backend or REPRO_BACKEND)")
     print("Reproduce targets:", ", ".join(REPRODUCE_TARGETS), "(or 'all')")
     print("Co-location scenarios:", ", ".join(colocation_scenario_names()),
@@ -813,15 +787,6 @@ def cmd_list(args) -> int:
 # ---------------------------------------------------------------------------
 # repro scenarios
 # ---------------------------------------------------------------------------
-def _emit_json(payload, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {out}", file=sys.stderr)
-    else:
-        print(text)
-
 
 def _scenario_payload(scenario, *, cache_key=None, extra=None) -> dict:
     payload = scenario.to_json()
@@ -836,8 +801,7 @@ def cmd_scenarios_generate(args) -> int:
     from repro.scenarios import SCENARIO_SCHEMA, generate_scenarios
 
     if args.count < 1:
-        print("error: --count must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--count must be >= 1")
     scenarios = generate_scenarios(
         args.seed,
         args.count,
@@ -923,12 +887,8 @@ def cmd_scenarios_search(args) -> int:
     print(f"\nbest: {outcome.best.name} with max slowdown "
           f"{outcome.best_objective:.3f} "
           f"({outcome.evaluations} points simulated, {outcome.reused} reused)")
-    tenants = ", ".join(
-        f"{bench}/{sched}:{'+'.join(str(i) for i in sms)}"
-        for _, bench, sched, sms in outcome.best.tenants
-    )
     launches = outcome.best.launch_cycles or "simultaneous"
-    print(f"  tenants: {tenants}")
+    print(f"  tenants: {_tenants_text(outcome.best)}")
     print(f"  launch cycles: {launches}, scale {outcome.best.scale}, "
           f"seed {outcome.best.seed}")
     print("  pin it: repro scenarios promote with the same --seed/--restarts/--steps")
@@ -936,19 +896,16 @@ def cmd_scenarios_search(args) -> int:
 
 
 def cmd_scenarios_promote(args) -> int:
-    from pathlib import Path
-
     from repro.scenarios import PROMOTED_PATH, promote, promoted_from_search
 
     if args.top_k < 1:
-        print("error: --top-k must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--top-k must be >= 1")
     outcome = _run_search(args)
     chosen = promoted_from_search(
         outcome, top_k=args.top_k, name_prefix=args.prefix
     )
     if args.dry_run:
-        _emit_json([scenario.to_json() for scenario in chosen], None)
+        _emit_json([scenario.to_json() for scenario in chosen])
         return 0
     path = Path(args.path) if args.path else None
     all_promoted = promote(chosen, path=path)
@@ -964,13 +921,33 @@ def cmd_scenarios_promote(args) -> int:
 # ---------------------------------------------------------------------------
 # repro serve / repro submit
 # ---------------------------------------------------------------------------
-def cmd_serve(args) -> int:
+def _daemon_backend(args) -> Optional[str]:
+    """The daemon's ``--backend``, resolved before binding (fails fast)."""
+    return resolve_backend_name(args.backend) if args.backend is not None else None
+
+
+def _run_until_drained(daemon) -> None:
+    """Boot ``daemon`` and serve until it has drained (SIGTERM, ^C or
+    ``POST /shutdown``).
+
+    The announce line goes to stdout (flushed) so scripts — the CI smoke
+    job, test harnesses, sweep coordinators — can parse the bound port
+    when --port 0 asked for an ephemeral one.
+    """
     import asyncio
 
-    from repro.serve import ReproService, run_service
+    from repro.serve.http import run_daemon
 
-    if args.backend is not None:
-        args.backend = resolve_backend_name(args.backend)
+    try:
+        asyncio.run(run_daemon(daemon, announce=lambda m: print(m, flush=True)))
+    except KeyboardInterrupt:
+        pass  # the signal handler already drained; a second ^C lands here
+
+
+def cmd_serve(args) -> int:
+    from repro.serve import ReproService
+
+    backend = _daemon_backend(args)
     if args.retry_max < 1:
         # Without --batch-timeout no RetryPolicy is built to reject it.
         raise ValueError("--retry-max must be >= 1")
@@ -987,17 +964,11 @@ def cmd_serve(args) -> int:
         workers=args.workers,
         batch_max=args.batch_max,
         linger=args.linger,
-        backend=args.backend,
+        backend=backend,
         retry=retry,
         max_queue_depth=args.max_queue_depth,
     )
-    try:
-        # The announce line goes to stdout (flushed) so scripts — the CI
-        # smoke job, test harnesses — can parse the bound port when
-        # --port 0 asked for an ephemeral one.
-        asyncio.run(run_service(service, announce=lambda m: print(m, flush=True)))
-    except KeyboardInterrupt:
-        pass  # the signal handler already drained; a second ^C lands here
+    _run_until_drained(service)
     snapshot = service.stats.snapshot()
     print(
         f"drained: {snapshot['requests']} requests "
@@ -1020,25 +991,16 @@ def cmd_serve(args) -> int:
 
 
 def cmd_worker(args) -> int:
-    import asyncio
+    from repro.harness.distributed import WorkerServer
 
-    from repro.harness.distributed import WorkerServer, run_worker
-
-    if args.backend is not None:
-        args.backend = resolve_backend_name(args.backend)
     server = WorkerServer(
         host=args.host,
         port=args.port,
         workers=args.workers,
-        backend=args.backend,
+        backend=_daemon_backend(args),
         cache=_cache_from_args(args),
     )
-    try:
-        # Announce on stdout (flushed) so coordinators and smoke scripts
-        # can parse the bound port when --port 0 asked for an ephemeral one.
-        asyncio.run(run_worker(server, announce=lambda m: print(m, flush=True)))
-    except KeyboardInterrupt:
-        pass  # the signal handler already drained; a second ^C lands here
+    _run_until_drained(server)
     print(
         f"drained: {server.batches} batch(es), {server.jobs_done} job(s) done, "
         f"{server.jobs_failed} failed",
@@ -1048,10 +1010,10 @@ def cmd_worker(args) -> int:
 
 
 def cmd_submit(args) -> int:
-    import http.client
     import urllib.parse
 
     from repro.serve import DEFAULT_PORT
+    from repro.serve.http import http_exchange
 
     if args.file:
         try:
@@ -1061,13 +1023,10 @@ def cmd_submit(args) -> int:
                 with open(args.file) as fh:
                     payload = json.load(fh)
         except (OSError, ValueError) as exc:
-            print(f"error: cannot read request payload: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"cannot read request payload: {exc}") from None
     else:
         if not args.benchmark:
-            print("error: benchmark argument required (or use --file)",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("benchmark argument required (or use --file)")
         request = SimulationRequest(
             get_benchmark(args.benchmark).name,
             canonical_scheduler_name(args.scheduler),
@@ -1077,21 +1036,15 @@ def cmd_submit(args) -> int:
         payload = request.to_dict()
 
     url = urllib.parse.urlsplit(args.url)
-    host = url.hostname or "127.0.0.1"
-    port = url.port or DEFAULT_PORT
-    conn = http.client.HTTPConnection(host, port, timeout=args.timeout)
     try:
-        conn.request(
+        status, body, headers = http_exchange(
+            url.hostname or "127.0.0.1",
+            url.port or DEFAULT_PORT,
             "POST",
             "/simulate",
-            body=json.dumps(payload),
-            headers={"Content-Type": "application/json"},
+            json.dumps(payload).encode(),
+            timeout=args.timeout,
         )
-        response = conn.getresponse()
-        body = response.read()
-        status = response.status
-        source = response.getheader("X-Repro-Source", "")
-        job_id = response.getheader("X-Repro-Job", "")
     except TimeoutError:
         # socket.timeout is TimeoutError: a server that accepts but never
         # answers (or a hung simulation) lands here, not in the generic
@@ -1104,8 +1057,6 @@ def cmd_submit(args) -> int:
         print(f"error: cannot reach {args.url}: {exc} "
               "(is `repro serve` running?)", file=sys.stderr)
         return 1
-    finally:
-        conn.close()
 
     if status != 200:
         print(f"error: server answered {status}: {body.decode(errors='replace')}",
@@ -1117,6 +1068,8 @@ def cmd_submit(args) -> int:
     from repro.gpu.gpu import SimulationResult
 
     result = SimulationResult.from_dict(json.loads(body))
+    source = headers.get("X-Repro-Source", "")
+    job_id = headers.get("X-Repro-Job", "")
     print(f"{result.kernel_name} / {result.scheduler_name} "
           f"({result.backend} backend, {source or 'unknown'} via job {job_id})")
     rows = [{
@@ -1138,9 +1091,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = _option_parents()
+    engine_flags = [shared["workers"], shared["no_cache"], shared["backend"]]
 
     p_run = sub.add_parser(
         "run",
+        parents=engine_flags,
         help="run one benchmark under one or more schedulers, or a "
              "co-located multi-tenant launch (--tenants / --scenario)",
     )
@@ -1165,7 +1121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="benchmark x scheduler grid via the parallel engine")
+    p_sweep = sub.add_parser("sweep", parents=engine_flags,
+                             help="benchmark x scheduler grid via the parallel engine")
     p_sweep.add_argument("-b", "--benchmarks", nargs="+", required=True,
                          help="benchmark names or selectors: all, lws, sws, ci, "
                               "memory-intensive, polybench, mars, rodinia")
@@ -1228,7 +1185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--json", action="store_true", help="emit JSON instead of tables")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_rep = sub.add_parser("reproduce", help="regenerate a figure/table of the paper as JSON")
+    p_rep = sub.add_parser("reproduce", parents=engine_flags,
+                           help="regenerate a figure/table of the paper as JSON")
     p_rep.add_argument("figures", nargs="+",
                        help=f"one or more of: {', '.join(REPRODUCE_TARGETS)}, all")
     _add_sweep_options(p_rep)
@@ -1276,13 +1234,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="independent hill climbs (default 3)")
         p.add_argument("--steps", type=int, default=5,
                        help="mutation proposals per climb (default 5)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="process-pool size (default: REPRO_WORKERS or CPU count)")
-        p.add_argument("--no-cache", action="store_true",
-                       help="bypass the on-disk result cache for this invocation")
 
+    search_flags = [shared["workers"], shared["no_cache"]]
     p_search = scn_sub.add_parser(
         "search",
+        parents=search_flags,
         help="hill-climb the scenario space for worst-case interference",
     )
     add_search_options(p_search)
@@ -1294,6 +1250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prom = scn_sub.add_parser(
         "promote",
+        parents=search_flags,
         help="run a search and pin its worst discoveries into the scenario library",
     )
     add_search_options(p_prom)
@@ -1311,8 +1268,10 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.harness.distributed import DEFAULT_WORKER_PORT
     from repro.serve.server import DEFAULT_PORT
 
+    daemon_flags = [shared["no_cache"], shared["backend"]]
     p_serve = sub.add_parser(
         "serve",
+        parents=daemon_flags,
         help="boot the long-lived simulation service (HTTP/JSON; see "
              "docs/SERVING.md)",
     )
@@ -1329,13 +1288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--linger", type=float, default=0.05, metavar="SECONDS",
                          help="window after the first queued miss in which "
                               "later arrivals join its batch (default 0.05)")
-    p_serve.add_argument("--no-cache", action="store_true",
-                         help="serve without the on-disk result cache (every "
-                              "distinct request simulates)")
-    p_serve.add_argument("--backend", default=None, metavar="NAME",
-                         help="engine for requests that do not pin one, one of: "
-                              f"{', '.join(backend_names())} "
-                              "(default: REPRO_BACKEND or 'reference')")
     p_serve.add_argument("--batch-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="per-batch deadline: a batch running longer "
@@ -1353,6 +1305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_worker = sub.add_parser(
         "worker",
+        parents=daemon_flags,
         help="boot a long-lived sweep worker for `repro sweep --workers-at` "
              "(HTTP/JSON batches; see docs/DISTRIBUTED.md)",
     )
@@ -1364,12 +1317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--workers", type=int, default=1,
                           help="process-pool width for each batch this worker "
                                "executes (default 1 = in-process)")
-    p_worker.add_argument("--no-cache", action="store_true",
-                          help="execute without the on-disk result cache")
-    p_worker.add_argument("--backend", default=None, metavar="NAME",
-                          help="engine for jobs that do not pin one, one of: "
-                               f"{', '.join(backend_names())} "
-                               "(default: REPRO_BACKEND or 'reference')")
     p_worker.set_defaults(func=cmd_worker)
 
     p_submit = sub.add_parser(
@@ -1439,19 +1386,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # Usage errors from every command (flags, tenant specs, worker
-        # rosters, wire forms): one clear line, not a traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BackendUnavailableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SweepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (KeyError, ValueError, BackendUnavailableError, SweepError) as exc:
+        # Usage errors from every command (unknown names, flags, tenant
+        # specs, worker rosters, wire forms, unavailable engines, aborted
+        # sweeps): one clear line, not a traceback.  A KeyError's str() is
+        # its repr, so print its message instead.
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

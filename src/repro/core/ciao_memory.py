@@ -48,10 +48,6 @@ class CIAOOnChipMemory:
         """True when warp ``wid`` currently has its requests redirected."""
         return wid in self._isolated_wids
 
-    def isolated_wids(self) -> frozenset[int]:
-        """The set of isolated warp ids."""
-        return frozenset(self._isolated_wids)
-
     # ------------------------------------------------------------------
     def isolate(self, warp: Warp, triggered_by_wid: int, sm=None) -> bool:
         """Redirect ``warp``'s global requests to the shared-memory cache.

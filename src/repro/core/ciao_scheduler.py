@@ -245,10 +245,6 @@ class CIAOScheduler(WarpScheduler):
         return False
 
     # ------------------------------------------------------------------
-    def isolated_warp_count(self) -> int:
-        """Number of currently isolated warps (for figures / tests)."""
-        return len(self.memory_arch.isolated_wids())
-
     def stalled_warp_count(self) -> int:
         """Number of warps currently stalled by CIAO."""
         if self.sm is None:

@@ -28,7 +28,7 @@ aggressor WID) and queried by :class:`repro.core.ciao_scheduler.CIAOScheduler`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.config import CIAOParameters

@@ -81,8 +81,6 @@ from repro.sched.base import SchedulerHooks, resolve_hooks
 _K_ALU = InstructionKind.ALU
 _K_LOAD = InstructionKind.LOAD
 _K_STORE = InstructionKind.STORE
-_K_SHARED_LOAD = InstructionKind.SHARED_LOAD
-_K_SHARED_STORE = InstructionKind.SHARED_STORE
 _K_BARRIER = InstructionKind.BARRIER
 _K_EXIT = InstructionKind.EXIT
 
@@ -207,12 +205,6 @@ class StreamingMultiprocessor:
         self._hooks = resolve_hooks(self.scheduler)
         self._select = self.scheduler.select
         self._record_issue = self.stats.record_issue
-
-    def _resident_warp_count(self) -> int:
-        return self._unfinished_warps
-
-    def _resident_cta_count(self) -> int:
-        return self._live_ctas
 
     def _can_admit_cta(self) -> bool:
         assert self._kernel is not None
@@ -765,10 +757,6 @@ class StreamingMultiprocessor:
     def active_warp_count(self) -> int:
         """Warps currently allowed to be scheduled (V=1 and not finished)."""
         return sum(1 for w in self.warps if not w.finished and w.active)
-
-    def resident_warp_ids(self) -> list[int]:
-        """Warp ids of the currently resident (unfinished) warps."""
-        return [w.wid for w in self.warps if not w.finished]
 
     def total_instructions(self) -> int:
         """Warp instructions issued so far (used for IRS epochs)."""

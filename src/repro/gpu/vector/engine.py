@@ -734,7 +734,6 @@ class VectorSM(StreamingMultiprocessor):
         l1d = self.l1d
         tag_sets = l1d.tags._sets
         l1d_stats = l1d.stats
-        vta = self.vta
         notify = self._hooks.notify_global_access
         hit_latency = l1d.hit_latency
         l2_sets = self._mem_sets_l2[wid][first:end]

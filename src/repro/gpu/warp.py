@@ -131,10 +131,6 @@ class Warp:
         """True when the scheduler may issue this warp's next instruction."""
         return self.active and self.is_ready(now)
 
-    def is_resident(self) -> bool:
-        """True while the warp has not retired."""
-        return not self.finished
-
     @property
     def state(self) -> WarpState:
         """Derived lifecycle state for reporting."""

@@ -14,8 +14,9 @@ cycle-level multi-SM, selectable per call or via ``REPRO_BACKEND``).
   (benchmark, scheduler, config) jobs over a process pool with
   deterministic per-job seeding and an in-process ``workers=1`` fallback.
 * :mod:`repro.harness.cache` -- content-addressed on-disk result cache keyed
-  by benchmark spec, scheduler kwargs, run configuration and a fingerprint
-  of the package source.
+  by each request's ``cache_key()``: its canonical wire form (benchmark
+  spec, scheduler, backend, run configuration) and a fingerprint of the
+  package source.
 * :mod:`repro.harness.experiments` -- one function per table / figure of the
   evaluation section, returning plain data structures (dicts / lists) that
   the benches print and docs/EXPERIMENTS.md records.
@@ -24,7 +25,7 @@ cycle-level multi-SM, selectable per call or via ``REPRO_BACKEND``).
 """
 
 from repro.api import SimulationRequest, execute
-from repro.harness.cache import ResultCache, job_key
+from repro.harness.cache import ResultCache
 from repro.harness.ledger import read_ledger, record_sweep, summarize_ledger
 from repro.harness.parallel import (
     SweepOutcome,
@@ -65,7 +66,6 @@ __all__ = [
     "run_jobs",
     "derive_seed",
     "ResultCache",
-    "job_key",
     "format_table",
     "format_sweep_stats",
     "geometric_mean",

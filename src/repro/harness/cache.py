@@ -4,16 +4,19 @@ Every (benchmark, scheduler, configuration) job the sweep engine executes is
 fully determined by its inputs: the workload models are seeded, the simulator
 has no other sources of nondeterminism, and the scheduler state is rebuilt
 from scratch per run.  That makes simulation results safe to memoise on disk,
-keyed by a stable hash of
+keyed by the request's ``cache_key()`` (:func:`repro.api.content_key`), a
+stable hash of
 
-* the full :class:`~repro.workloads.spec.BenchmarkSpec` (Table II facts plus
-  every synthetic-model parameter),
-* the canonical scheduler name and the constructor kwargs the runner derives
-  for it (warp limits, token counts, CIAO parameters),
-* the complete :class:`~repro.harness.runner.RunConfig` (scale, seed, launch
-  geometry, GPU configuration, DRAM scaling, cycle budget), and
-* a fingerprint of the ``repro`` package source, so any code change
-  invalidates the cache automatically — no manual version bumps needed.
+* the canonical request's wire form: the full
+  :class:`~repro.workloads.spec.BenchmarkSpec` (Table II facts plus every
+  synthetic-model parameter), the canonical scheduler name, the resolved
+  backend and the complete :class:`~repro.harness.runner.RunConfig` (scale,
+  seed, launch geometry, GPU configuration, DRAM scaling, CIAO parameters,
+  cycle budget) — the scheduler's constructor kwargs (warp limits, token
+  counts, CIAO parameters) derive from these — and
+* a fingerprint of the ``repro`` package source (:func:`code_fingerprint`),
+  so any code change invalidates the cache automatically — no manual
+  version bumps needed.
 
 Environment knobs (see docs/EXPERIMENTS.md):
 
@@ -31,10 +34,7 @@ Environment knobs (see docs/EXPERIMENTS.md):
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import hashlib
-import json
 import os
 import pickle
 import tempfile
@@ -44,6 +44,7 @@ from typing import Any, Mapping, Optional, Union
 
 from repro.harness.integrity import (
     default_quarantine_dir,
+    env_flag,
     quarantine_file,
     result_digest,
 )
@@ -51,8 +52,10 @@ from repro.harness.integrity import (
 #: Bumped when the cache payload layout changes (not when simulation
 #: semantics change — the code fingerprint covers that).  Schema 2: the
 #: sweep engine stores results in the versioned ``SimulationResult.to_dict``
-#: form instead of pickled result objects.  Kept at 2 in *cache keys*
-#: (changing it would orphan every existing entry for no semantic reason).
+#: form instead of pickled result objects.  It now names only the legacy
+#: digest-less envelope that :meth:`ResultCache._validate` and ``fsck``
+#: still read; cache keys carry no schema number (see
+#: :func:`repro.api.content_key`).
 CACHE_SCHEMA = 2
 
 #: On-disk envelope schema.  Schema 3 adds a ``"digest"`` field — the
@@ -63,12 +66,9 @@ CACHE_SCHEMA = 2
 #: digested form.
 ENVELOPE_SCHEMA = 3
 
-_FALSY = ("0", "off", "false", "no")
-
-
 def cache_enabled_by_env() -> bool:
     """Whether the environment allows result caching at all."""
-    return os.environ.get("REPRO_RESULT_CACHE", "1").lower() not in _FALSY
+    return env_flag("REPRO_RESULT_CACHE", True)
 
 
 def default_cache_dir() -> Path:
@@ -106,90 +106,6 @@ def code_fingerprint() -> str:
             digest.update(b"\0")
         _CODE_FINGERPRINT = digest.hexdigest()[:20]
     return _CODE_FINGERPRINT
-
-
-def canonicalize(value: Any) -> Any:
-    """Reduce a configuration object to JSON-serialisable primitives.
-
-    Dataclasses become ``{"__type__": name, fields...}`` so two different
-    config classes with identical field values cannot collide; enums become
-    their qualified name; mappings are key-sorted by the JSON encoder later.
-    """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        out: dict[str, Any] = {"__type__": type(value).__name__}
-        for f in dataclasses.fields(value):
-            out[f.name] = canonicalize(getattr(value, f.name))
-        return out
-    if isinstance(value, enum.Enum):
-        return f"{type(value).__name__}.{value.name}"
-    if isinstance(value, Mapping):
-        return {str(k): canonicalize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = list(value)
-        if isinstance(value, (set, frozenset)):
-            items = sorted(items, key=repr)
-        return [canonicalize(v) for v in items]
-    if isinstance(value, float):
-        # repr() round-trips exactly; formatting would alias nearby floats.
-        return f"f:{value!r}"
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    return f"repr:{value!r}"
-
-
-def job_key(
-    spec: Any,
-    scheduler: str,
-    scheduler_kwargs: Mapping[str, Any],
-    run_config: Any,
-    *,
-    backend: str = "reference",
-    code_version: Optional[str] = None,
-) -> str:
-    """Stable content hash identifying one simulation job.
-
-    ``backend`` is the *resolved* execution-engine name: engines may model
-    timing differently (e.g. lock-step multi-SM contention), so their
-    results must never be served from each other's cache entries.
-    """
-    payload = {
-        "schema": CACHE_SCHEMA,
-        "code": code_version if code_version is not None else code_fingerprint(),
-        "benchmark": canonicalize(spec),
-        "scheduler": scheduler,
-        "scheduler_kwargs": canonicalize(dict(scheduler_kwargs)),
-        "run_config": canonicalize(run_config),
-        "backend": backend,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def multi_tenant_job_key(
-    tenant_payloads: list,
-    run_config: Any,
-    *,
-    backend: str,
-    code_version: Optional[str] = None,
-) -> str:
-    """Stable content hash identifying one multi-tenant (co-located) job.
-
-    ``tenant_payloads`` carries, per tenant, the canonicalized benchmark
-    spec, scheduler name + kwargs, the tenant label **and the SM-partition
-    assignment** — two co-location jobs that differ only in which SMs a
-    tenant occupies contend differently and must never share an entry
-    (pinned by ``tests/test_result_cache.py``).
-    """
-    payload = {
-        "schema": CACHE_SCHEMA,
-        "kind": "multi-tenant",
-        "code": code_version if code_version is not None else code_fingerprint(),
-        "tenants": canonicalize(tenant_payloads),
-        "run_config": canonicalize(run_config),
-        "backend": backend,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @dataclass
@@ -256,10 +172,20 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
 
+    @staticmethod
+    def _load(path: Path) -> Any:
+        with open(path, "rb") as fh:
+            return pickle.load(fh)
+
     def _validate(self, payload: Any, key: str) -> Any:
-        """Return the result inside ``payload`` or raise on any corruption."""
+        """Return the result inside ``payload`` or raise on any corruption.
+
+        The one definition of a valid entry: reads, ``clear`` and ``repro
+        cache fsck`` all judge envelopes here, and a ``ValueError`` names
+        what is wrong.
+        """
         if not isinstance(payload, Mapping) or payload.get("key") != key:
-            raise ValueError("stale or mismatched cache entry")
+            raise ValueError("key mismatch (entry stored under the wrong key)")
         schema = payload.get("schema")
         if schema == ENVELOPE_SCHEMA:
             if result_digest(payload.get("result")) != payload.get("digest"):
@@ -302,9 +228,7 @@ class ResultCache:
         """Return the stored result for ``key``, or ``None`` on a miss."""
         path = self._path(key)
         try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-            result = self._validate(payload, key)
+            result = self._validate(self._load(path), key)
         except FileNotFoundError:
             self.stats.misses += 1
             return None
@@ -330,9 +254,7 @@ class ResultCache:
         absent, unreadable, or fails its digest check.
         """
         try:
-            with open(self._path(key), "rb") as fh:
-                payload = pickle.load(fh)
-            return self._validate(payload, key)
+            return self._validate(self._load(self._path(key)), key)
         except Exception:
             return None
 
@@ -385,8 +307,7 @@ class ResultCache:
         removed = 0
         for path in list(self._entries()):
             try:
-                with open(path, "rb") as fh:
-                    self._validate(pickle.load(fh), path.stem)
+                self._validate(self._load(path), path.stem)
             except Exception as exc:
                 self._quarantine_path(path, f"clear: {type(exc).__name__}: {exc}")
                 removed += 1

@@ -67,7 +67,13 @@ from repro.harness.parallel import (
     parse_positive_int,
     run_jobs,
 )
-from repro.serve.http import Daemon, canonical_json, respond, run_daemon
+from repro.serve.http import (
+    Daemon,
+    canonical_json,
+    http_exchange,
+    respond,
+    run_daemon,
+)
 from repro.version import __version__
 
 #: Default TCP port of ``repro worker`` (``repro serve`` owns 8651).
@@ -340,24 +346,15 @@ class WorkerClient:
         self.timeout = timeout
 
     def _request(self, method: str, path: str, body: Optional[bytes] = None) -> dict:
-        conn = http.client.HTTPConnection(
-            self.ref.host, self.ref.port, timeout=self.timeout
+        status, data, _ = http_exchange(
+            self.ref.host, self.ref.port, method, path, body, timeout=self.timeout
         )
-        try:
-            conn.request(
-                method, path, body=body,
-                headers={"Content-Type": "application/json"} if body else {},
+        if status != 200:
+            raise WorkerError(
+                f"worker {self.ref.address} answered {status}: "
+                f"{data[:200].decode(errors='replace')}"
             )
-            response = conn.getresponse()
-            data = response.read()
-            if response.status != 200:
-                raise WorkerError(
-                    f"worker {self.ref.address} answered {response.status}: "
-                    f"{data[:200].decode(errors='replace')}"
-                )
-            return json.loads(data)
-        finally:
-            conn.close()
+        return json.loads(data)
 
     def healthz(self) -> dict:
         return self._request("GET", "/healthz")

@@ -50,8 +50,9 @@ from repro.analysis.metrics import (
 from repro.analysis.power import PowerModel
 from repro.core.config import CIAOParameters
 from repro.gpu.config import GPUConfig
-from repro.api import SimulationRequest
+from repro.api import MultiTenantRequest, SimulationRequest
 from repro.harness.parallel import SweepOutcome, run_jobs
+from repro.harness.reporting import normalize_to
 from repro.harness.runner import RunConfig, run_many
 from repro.workloads.registry import (
     MEMORY_INTENSIVE_BENCHMARKS,
@@ -330,13 +331,7 @@ def fig11_sensitivity_epoch(
     table: dict[str, dict[int, float]] = {bench: {} for bench in names}
     for job, result in outcome:
         table[job.benchmark_name][int(job.tag)] = result.ipc
-    normalized = {
-        bench: {
-            epoch: (value / row[5000] if row.get(5000) else 0.0)
-            for epoch, value in row.items()
-        }
-        for bench, row in table.items()
-    }
+    normalized = {bench: normalize_to(row, 5000) for bench, row in table.items()}
     return {"raw_ipc": table, "normalized_to_5000": normalized}
 
 
@@ -371,13 +366,7 @@ def fig11_sensitivity_cutoff(
     table: dict[str, dict[float, float]] = {bench: {} for bench in names}
     for job, result in outcome:
         table[job.benchmark_name][float(job.tag)] = result.ipc
-    normalized = {
-        bench: {
-            cutoff: (value / row[0.01] if row.get(0.01) else 0.0)
-            for cutoff, value in row.items()
-        }
-        for bench, row in table.items()
-    }
+    normalized = {bench: normalize_to(row, 0.01) for bench, row in table.items()}
     return {"raw_ipc": table, "normalized_to_1pct": normalized}
 
 
@@ -422,10 +411,7 @@ def fig12_cache_configs(
     raw: dict[str, dict[str, float]] = {bench: {} for bench in names}
     for job, result in outcome:
         raw[job.benchmark_name][job.tag] = result.ipc
-    normalized = {
-        bench: {label: (v / row["gto"] if row.get("gto") else 0.0) for label, v in row.items()}
-        for bench, row in raw.items()
-    }
+    normalized = {bench: normalize_to(row, "gto") for bench, row in raw.items()}
     return {"raw_ipc": raw, "normalized_ipc": normalized, "variants": list(variants)}
 
 
@@ -458,16 +444,45 @@ def fig12_dram_bandwidth(
     raw: dict[str, dict[str, float]] = {bench: {} for bench in names}
     for job, result in outcome:
         raw[job.benchmark_name][job.tag] = result.ipc
-    normalized = {
-        bench: {label: (v / row["gto"] if row.get("gto") else 0.0) for label, v in row.items()}
-        for bench, row in raw.items()
-    }
+    normalized = {bench: normalize_to(row, "gto") for bench, row in raw.items()}
     return {"raw_ipc": raw, "normalized_ipc": normalized}
 
 
 # ---------------------------------------------------------------------------
 # Co-location interference (multi-tenant lock-step)
 # ---------------------------------------------------------------------------
+def colocation_report(
+    request: MultiTenantRequest,
+    *,
+    isolated: bool = True,
+    workers: Optional[int] = None,
+    cache="auto",
+) -> tuple[SweepOutcome, dict]:
+    """Run a co-located request and its per-tenant interference report.
+
+    Submits ``request`` plus, when ``isolated``, one isolated baseline per
+    tenant (:meth:`~repro.api.MultiTenantRequest.isolated_request`: the
+    same machine with every other SM idle) through the sweep engine, and
+    returns ``(outcome, slowdowns)``.  ``outcome.results[0]`` is the
+    co-located result, followed by the tenants' baselines in tenant order;
+    ``slowdowns`` is :func:`repro.analysis.metrics.tenant_slowdowns` over
+    them, or ``{}`` without baselines.  ``repro run --tenants/--scenario``,
+    :func:`colocation_interference` and the worst-case scenario search all
+    report co-location through this one function.
+    """
+    jobs = [request]
+    if isolated:
+        jobs += [request.isolated_request(t.name) for t in request.tenants]
+    outcome = run_jobs(jobs, workers=workers, cache=cache)
+    if not isolated:
+        return outcome, {}
+    baselines = {
+        tenant.name: result
+        for tenant, result in zip(request.tenants, outcome.results[1:])
+    }
+    return outcome, tenant_slowdowns(outcome.results[0], baselines)
+
+
 def colocation_interference(
     *,
     scenario: str = "thrash-vs-compute",
@@ -488,13 +503,8 @@ def colocation_interference(
     from repro.scenarios.library import COLOCATION_SCENARIOS, colocation_scenario
 
     request = colocation_scenario(scenario, scale=scale, seed=seed, backend=backend)
-    jobs = [request] + [request.isolated_request(t.name) for t in request.tenants]
-    outcome = _sweep(jobs, workers, cache)
+    outcome, slowdowns = colocation_report(request, workers=workers, cache=cache)
     colocated = outcome.results[0]
-    isolated = {
-        tenant.name: result
-        for tenant, result in zip(request.tenants, outcome.results[1:])
-    }
     return {
         "scenario": scenario,
         "description": COLOCATION_SCENARIOS[scenario].description,
@@ -506,7 +516,7 @@ def colocation_interference(
             }
             for t in request.tenants
         },
-        "per_tenant": tenant_slowdowns(colocated, isolated),
+        "per_tenant": slowdowns,
         "inter_sm_dram_conflicts": colocated.inter_sm_dram_conflicts,
         "scale": request.run_config.scale,
         "seed": request.run_config.seed,

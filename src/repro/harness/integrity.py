@@ -27,8 +27,11 @@ is built from:
   distributed coordinator (``repro sweep --audit-rate``), a pure function
   of ``(seed, cache key)`` exactly like the :class:`~repro.harness.faults
   .FaultPlan` schedule, so two coordinators audit the same jobs.
-* :func:`fsync_enabled` — the opt-in ``REPRO_FSYNC`` crash-durability knob
-  shared by manifest and ledger appends.
+* :func:`append_json_line` / :func:`read_json_lines` — the one JSON-lines
+  file format of manifests and the ledger: flushed appends (fsync under
+  the opt-in ``REPRO_FSYNC`` knob, :func:`fsync_enabled`) and a tolerant
+  reader that counts damaged lines instead of failing on them, which
+  ``fsck`` shares.  :func:`env_flag` reads the on/off environment knobs.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ DIGEST_SIZE = 16
 #: entry can never be globbed back up as a live ``*.pkl`` entry).
 QUARANTINE_SUFFIX = ".quarantined"
 
+_FALSY = ("0", "off", "false", "no")
 _TRUTHY = ("1", "on", "true", "yes")
 
 
@@ -183,8 +187,19 @@ def quarantined_artifacts(
 
 
 # ---------------------------------------------------------------------------
-# Crash durability
+# Environment knobs, crash durability and the JSON-lines format
 # ---------------------------------------------------------------------------
+def env_flag(name: str, default: bool) -> bool:
+    """An on/off environment knob such as ``REPRO_RESULT_CACHE``.
+
+    A knob that defaults on stays on unless set to ``0`` / ``off`` /
+    ``false`` / ``no``; one that defaults off turns on only for ``1`` /
+    ``on`` / ``true`` / ``yes`` (case-insensitive).
+    """
+    value = os.environ.get(name, "").lower()
+    return value not in _FALSY if default else value in _TRUTHY
+
+
 def fsync_enabled() -> bool:
     """Whether ``REPRO_FSYNC`` asks appends to fsync (opt-in, default off).
 
@@ -193,7 +208,60 @@ def fsync_enabled() -> bool:
     mid-sweep, at a per-line latency cost — hence opt-in.  Either way a
     torn tail is detected (and repaired) by ``repro cache fsck``.
     """
-    return os.environ.get("REPRO_FSYNC", "").lower() in _TRUTHY
+    return env_flag("REPRO_FSYNC", False)
+
+
+def append_json_line(
+    path: Union[str, Path], payload: Any, *, fsync: Optional[bool] = None
+) -> None:
+    """Append ``payload`` as one sorted-key JSON line, flushed at once.
+
+    The directory is created on demand.  ``fsync`` additionally syncs the
+    line to stable storage; ``None`` defers to :func:`fsync_enabled`.
+    Errors propagate: callers choose their own policy (the ledger's
+    appends are best-effort, a manifest's are not).
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        fh.flush()
+        if fsync if fsync is not None else fsync_enabled():
+            os.fsync(fh.fileno())
+
+
+def _parse_json_lines(data: bytes) -> tuple[list[tuple[str, Any]], int]:
+    """``([(line, payload), ...], damaged)`` of a JSON-lines byte string.
+
+    Blank lines are ignored; a line that does not parse (a torn write,
+    flipped bits, bytes that are not UTF-8) is counted as damaged.
+    """
+    rows: list[tuple[str, Any]] = []
+    damaged = 0
+    for line in data.decode("utf-8", errors="replace").splitlines():
+        if not line.strip():
+            continue
+        try:
+            rows.append((line, json.loads(line)))
+        except ValueError:
+            damaged += 1
+    return rows, damaged
+
+
+def read_json_lines(path: Union[str, Path]) -> tuple[list[Any], int]:
+    """Parse a JSON-lines file into ``(payloads, damaged_line_count)``.
+
+    Tolerant by design: damaged lines are counted, never raised, so
+    callers can surface the count (``repro cache fsck --repair`` removes
+    the damage); a missing or unreadable file reads as ``([], 0)``.  Each
+    caller applies its own filter to the payloads.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        return [], 0
+    rows, damaged = _parse_json_lines(data)
+    return [payload for _, payload in rows], damaged
 
 
 # ---------------------------------------------------------------------------
@@ -297,46 +365,33 @@ class FsckReport:
 
 
 def _fsck_cache(cache, report: FsckReport, *, repair: bool) -> None:
-    import pickle
-
-    from repro.harness.cache import CACHE_SCHEMA, ENVELOPE_SCHEMA
+    from repro.harness.cache import CACHE_SCHEMA
 
     for path in sorted(cache._entries()):
         key = path.stem
         artifact = Artifact(kind="cache", path=str(path), verdict="ok")
         report.artifacts.append(artifact)
         try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
+            payload = cache._load(path)
         except Exception as exc:
-            artifact.verdict = "corrupt"
             artifact.detail = f"unreadable: {type(exc).__name__}: {exc}"
-            artifact.quarantined = (
-                cache.quarantine_entry(key, artifact.detail) is not None
-            )
-            continue
-        if not isinstance(payload, dict) or payload.get("key") != key:
-            artifact.verdict = "corrupt"
-            artifact.detail = "key mismatch (entry stored under the wrong key)"
-        elif payload.get("schema") == ENVELOPE_SCHEMA:
-            if result_digest(payload.get("result")) != payload.get("digest"):
-                artifact.verdict = "corrupt"
-                artifact.detail = "digest mismatch (bit rot or tampering)"
-        elif payload.get("schema") == CACHE_SCHEMA:
-            artifact.verdict = "legacy"
-            artifact.detail = "digest-less legacy envelope (repairable)"
-            if repair:
-                cache.put(key, payload.get("result"))
-                artifact.repaired = True
         else:
-            artifact.verdict = "corrupt"
-            artifact.detail = (
-                f"unknown cache envelope schema {payload.get('schema')!r}"
-            )
-        if artifact.verdict == "corrupt":
-            artifact.quarantined = (
-                cache.quarantine_entry(key, artifact.detail) is not None
-            )
+            try:
+                result = cache._validate(payload, key)
+            except (KeyError, ValueError) as exc:
+                artifact.detail = str(exc)
+            else:
+                if payload["schema"] == CACHE_SCHEMA:
+                    artifact.verdict = "legacy"
+                    artifact.detail = "digest-less legacy envelope (repairable)"
+                    if repair:
+                        cache.put(key, result)
+                        artifact.repaired = True
+                continue
+        artifact.verdict = "corrupt"
+        artifact.quarantined = (
+            cache.quarantine_entry(key, artifact.detail) is not None
+        )
 
 
 def _fsck_lines(
@@ -359,17 +414,7 @@ def _fsck_lines(
         artifact.verdict = "corrupt"
         artifact.detail = f"unreadable: {exc}"
         return
-    good: list[str] = []
-    damaged = 0
-    for line in data.decode("utf-8", errors="replace").splitlines():
-        if not line.strip():
-            continue
-        try:
-            json.loads(line)
-        except ValueError:
-            damaged += 1
-            continue
-        good.append(line)
+    rows, damaged = _parse_json_lines(data)
     if not damaged:
         return
     artifact.verdict = "damaged"
@@ -390,7 +435,7 @@ def _fsck_lines(
         )
         tmp = path.with_name(path.name + ".fsck-tmp")
         tmp.write_text(
-            "".join(line + "\n" for line in good), encoding="utf-8"
+            "".join(line + "\n" for line, _ in rows), encoding="utf-8"
         )
         os.replace(tmp, path)
         artifact.repaired = True

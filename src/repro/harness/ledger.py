@@ -24,15 +24,12 @@ writer can never fail a sweep.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from repro.harness.integrity import fsync_enabled
-
-_FALSY = ("0", "off", "false", "no")
+from repro.harness.integrity import append_json_line, env_flag, read_json_lines
 
 #: Default ledger location, relative to the working directory.
 DEFAULT_LEDGER_PATH = Path(".repro") / "bench_ledger.jsonl"
@@ -40,7 +37,7 @@ DEFAULT_LEDGER_PATH = Path(".repro") / "bench_ledger.jsonl"
 
 def ledger_enabled() -> bool:
     """Whether the environment allows ledger recording."""
-    return os.environ.get("REPRO_LEDGER", "1").lower() not in _FALSY
+    return env_flag("REPRO_LEDGER", True)
 
 
 def ledger_path() -> Path:
@@ -69,16 +66,10 @@ def append_entry(
             return None
         path = ledger_path()
     try:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            fh.flush()
-            if fsync if fsync is not None else fsync_enabled():
-                os.fsync(fh.fileno())
+        append_json_line(path, entry, fsync=fsync)
     except OSError:
         return None
-    return path
+    return Path(path)
 
 
 def is_sweep(entry: dict) -> bool:
@@ -151,27 +142,10 @@ def read_ledger_report(path: Optional[Path] = None) -> tuple[list[dict], int]:
     stats`` warns about them and ``repro cache fsck --repair`` removes the
     damage after preserving the original bytes in quarantine.
     """
-    path = Path(path) if path is not None else ledger_path()
-    entries: list[dict] = []
-    skipped = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    skipped += 1
-                    continue
-                if isinstance(entry, dict):
-                    entries.append(entry)
-                else:
-                    skipped += 1
-    except OSError:
-        return [], 0
-    return entries, skipped
+    payloads, damaged = read_json_lines(path if path is not None else ledger_path())
+    entries = [entry for entry in payloads if isinstance(entry, dict)]
+    # A line that parses to something other than an object is skipped too.
+    return entries, damaged + len(payloads) - len(entries)
 
 
 def read_ledger(path: Optional[Path] = None) -> list[dict]:

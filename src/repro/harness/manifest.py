@@ -24,14 +24,12 @@ can never serve a result the cache cannot substantiate.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from repro.harness.integrity import fsync_enabled
+from repro.harness.integrity import append_json_line, read_json_lines
 
 #: Version stamp written on every manifest line.
 MANIFEST_SCHEMA = 1
@@ -60,9 +58,8 @@ class ManifestEntry:
                 f"(choose from {MANIFEST_STATUSES})"
             )
 
-    def to_line(self) -> str:
-        payload = {"schema": MANIFEST_SCHEMA, **asdict(self)}
-        return json.dumps(payload, sort_keys=True)
+    def to_payload(self) -> dict:
+        return {"schema": MANIFEST_SCHEMA, **asdict(self)}
 
     @classmethod
     def from_payload(cls, payload: dict) -> Optional["ManifestEntry"]:
@@ -94,13 +91,7 @@ def append_outcome(
     power loss, not just a process crash — at a per-line latency cost.
     ``None`` defers to the opt-in ``REPRO_FSYNC`` environment knob.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(entry.to_line() + "\n")
-        fh.flush()
-        if fsync if fsync is not None else fsync_enabled():
-            os.fsync(fh.fileno())
+    append_json_line(path, entry.to_payload(), fsync=fsync)
 
 
 def scan_manifest(
@@ -116,29 +107,17 @@ def scan_manifest(
     the count (``SweepOutcome.manifest_skipped``, sweep summaries) and
     ``repro cache fsck --repair`` removes the damage.
     """
+    payloads, skipped = read_json_lines(path)
     entries: dict[str, ManifestEntry] = {}
-    skipped = 0
-    try:
-        with open(Path(path), encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                except ValueError:
-                    skipped += 1
-                    continue
-                entry = ManifestEntry.from_payload(payload)
-                if entry is None:
-                    skipped += 1
-                    continue
-                prior = entries.get(entry.key)
-                if prior is not None and prior.status == "done" and entry.status != "done":
-                    continue
-                entries[entry.key] = entry
-    except OSError:
-        return {}, 0
+    for payload in payloads:
+        entry = ManifestEntry.from_payload(payload)
+        if entry is None:
+            skipped += 1
+            continue
+        prior = entries.get(entry.key)
+        if prior is not None and prior.status == "done" and entry.status != "done":
+            continue
+        entries[entry.key] = entry
     return entries, skipped
 
 

@@ -291,10 +291,14 @@ class SweepOutcome:
         return [r for r in self.results if isinstance(r, JobFailure)]
 
     def nested(self) -> dict[str, dict[str, SimulationResult]]:
-        """``{benchmark: {scheduler: result}}`` view (``run_many`` shape)."""
+        """``{benchmark: {scheduler: result}}`` view (``run_many`` shape).
+
+        The grid holds results only: a failed job leaves no cell.
+        """
         table: dict[str, dict[str, SimulationResult]] = {}
         for job, result in self:
-            table.setdefault(job.benchmark_name, {})[job.scheduler] = result
+            if not isinstance(result, JobFailure):
+                table.setdefault(job.benchmark_name, {})[job.scheduler] = result
         return table
 
 

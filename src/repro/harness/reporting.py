@@ -95,17 +95,3 @@ def format_sweep_stats(stats, cache_stats=None) -> str:
         parts.append(f"{cache_stats.quarantined} quarantined")
     return "sweep: " + ", ".join(parts)
 
-
-def summarize_speedups(normalized: Mapping[str, Mapping[str, float]], schedulers: Sequence[str]) -> dict[str, float]:
-    """Geometric-mean speedup per scheduler across benchmarks.
-
-    ``normalized`` maps benchmark -> {scheduler -> normalised IPC}.
-    """
-    result: dict[str, float] = {}
-    for scheduler in schedulers:
-        result[scheduler] = geometric_mean(
-            per_sched[scheduler]
-            for per_sched in normalized.values()
-            if scheduler in per_sched
-        )
-    return result

@@ -70,20 +70,12 @@ class AddressMapping:
     line_size: int = BLOCK_SIZE
     set_hash: Callable[[int, int], int] | None = None
     _offset_bits: int = field(init=False, repr=False, default=0)
-    _set_bits: int = field(init=False, repr=False, default=0)
     _offset_mask: int = field(init=False, repr=False, default=0)
     _index_fn: Callable[[int], int] = field(init=False, repr=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_offset_bits", ilog2(self.line_size))
         object.__setattr__(self, "_offset_mask", self.line_size - 1)
-        # The number of sets does not have to be a power of two: the GTX 480
-        # L2 (768 KB, 8-way, 128 B lines) has 768 sets.  Non-power-of-two
-        # geometries fall back to modulo indexing.
-        if is_power_of_two(self.num_sets):
-            object.__setattr__(self, "_set_bits", ilog2(self.num_sets))
-        else:
-            object.__setattr__(self, "_set_bits", self.num_sets.bit_length())
         # One-argument block -> set closure with the per-call constants
         # hoisted (this runs on every cache probe).
         if self.set_hash is not None:
@@ -96,6 +88,9 @@ class AddressMapping:
             def index_fn(blk: int, _mask: int = mask) -> int:
                 return blk & _mask
         else:
+            # The number of sets does not have to be a power of two: the
+            # GTX 480 L2 (768 KB, 8-way, 128 B lines) has 768 sets.
+            # Non-power-of-two geometries fall back to modulo indexing.
             sets = self.num_sets
 
             def index_fn(blk: int, _sets: int = sets) -> int:
@@ -134,13 +129,3 @@ class AddressMapping:
     def block_to_byte(self, blk: int) -> int:
         """Return the base byte address of block ``blk``."""
         return blk << self._offset_bits
-
-    @property
-    def offset_bits(self) -> int:
-        """Number of byte-offset bits."""
-        return self._offset_bits
-
-    @property
-    def set_bits(self) -> int:
-        """Number of set-index bits."""
-        return self._set_bits

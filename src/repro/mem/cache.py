@@ -52,11 +52,6 @@ class AccessResult:
     writeback_block: Optional[int] = None  # dirty victim that must go to the next level
 
     @property
-    def is_hit(self) -> bool:
-        """True for plain hits (reserved hits still wait for the fill)."""
-        return self.outcome is AccessOutcome.HIT
-
-    @property
     def is_miss(self) -> bool:
         """True when a fill from the next level is required."""
         return self.outcome in (AccessOutcome.MISS, AccessOutcome.MISS_NO_ALLOCATE)

@@ -79,11 +79,6 @@ class DRAMStats:
     #: multi-tenant driver attributes each tenant its partition's share.
     conflicts_by_requester: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def mean_queue_delay(self) -> float:
-        """Average cycles a request waited for a free channel."""
-        return self.total_queue_delay / self.requests if self.requests else 0.0
-
 
 class DRAMModel:
     """Channel-interleaved DRAM service model.

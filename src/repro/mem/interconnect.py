@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mem.cache import Cache, CacheConfig, WritePolicy
+from repro.mem.cache import Cache, CacheConfig
 from repro.mem.dram import DRAMConfig, DRAMModel
 
 

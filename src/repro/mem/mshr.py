@@ -145,11 +145,6 @@ class MSHRFile:
         """Number of outstanding blocks."""
         return len(self._entries)
 
-    @property
-    def is_empty(self) -> bool:
-        """True when no miss is outstanding."""
-        return not self._entries
-
     def outstanding_blocks(self) -> list[int]:
         """Blocks currently being fetched (ordered by allocation)."""
         return list(self._entries.keys())

@@ -128,10 +128,6 @@ class SharedMemory:
         """Number of rows across the full structure."""
         return self.capacity_bytes // self.row_bytes
 
-    def bank_of(self, byte_offset: int) -> int:
-        """Bank index servicing ``byte_offset``."""
-        return (byte_offset // self.BANK_WIDTH_BYTES) % self.NUM_BANKS
-
     def row_of(self, byte_offset: int) -> int:
         """Row index of ``byte_offset``."""
         return byte_offset // self.row_bytes

@@ -66,10 +66,6 @@ class MemorySubsystem:
         """DRAM bandwidth utilisation (the statPCAL bypass signal)."""
         return self.l2.dram.utilization(elapsed_cycles)
 
-    def dram_backlog(self, now: int) -> float:
-        """Cycles of queued DRAM work (congestion indicator)."""
-        return self.l2.dram.pending_backlog(now)
-
     @property
     def l2_hit_rate(self) -> float:
         """L2 hit rate so far."""

@@ -23,11 +23,11 @@ rediscovers interference at least as bad as the worst hand-written scenario.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from repro.analysis.metrics import tenant_slowdowns
-from repro.harness.parallel import derive_seed, run_jobs
+from repro.harness.experiments import colocation_report
+from repro.harness.parallel import derive_seed
 from repro.scenarios.generator import (
     BENCHMARK_POOL,
     DEFAULT_STAGGER_SPAN,
@@ -96,14 +96,7 @@ def evaluate_scenario(
     slowdowns, colocated cache key)``.
     """
     request = scenario.request()
-    jobs = [request] + [request.isolated_request(t.name) for t in request.tenants]
-    outcome = run_jobs(jobs, workers=workers, cache=cache)
-    colocated = outcome.results[0]
-    isolated = {
-        tenant.name: result
-        for tenant, result in zip(request.tenants, outcome.results[1:])
-    }
-    report = tenant_slowdowns(colocated, isolated)
+    _, report = colocation_report(request, workers=workers, cache=cache)
     slowdowns = {name: row["slowdown"] for name, row in report.items()}
     objective = max(slowdowns.values(), default=0.0)
     return objective, slowdowns, request.cache_key()
@@ -118,16 +111,8 @@ def builtin_best(
     """Worst hand-written scenario at ``scale``: the search acceptance bar."""
     best_name, best_objective = "", 0.0
     for name in BUILTIN_SCENARIO_NAMES:
-        scenario = COLOCATION_SCENARIOS[name]
         objective, _, _ = evaluate_scenario(
-            ColocationScenario(
-                name=scenario.name,
-                description=scenario.description,
-                tenants=scenario.tenants,
-                scale=scale,
-                seed=scenario.seed,
-                launch_cycles=scenario.launch_cycles,
-            ),
+            replace(COLOCATION_SCENARIOS[name], scale=scale),
             workers=workers,
             cache=cache,
         )

@@ -72,8 +72,3 @@ class Coalescer:
         future = self._inflight.pop(key, None)
         if future is not None and not future.done():
             future.set_exception(exc)
-
-    def abort_all(self, exc: BaseException) -> None:
-        """Fail every in-flight key (shutdown without drain)."""
-        for key in list(self._inflight):
-            self.fail(key, exc)

@@ -9,6 +9,8 @@ distributed sweep layer (:mod:`repro.harness.distributed`) can use it
 without dragging in the serving stack (coalescer, batch queue, stats).  The
 wire contract is deliberately tiny: one request per connection,
 ``Content-Length`` bodies only, canonical JSON responses.
+:func:`http_exchange` is the matching blocking client, shared by ``repro
+submit`` and the sweep coordinator's worker client.
 """
 
 from __future__ import annotations
@@ -96,6 +98,38 @@ async def respond(writer, status: int, payload, *, extra_headers=()) -> None:
     head += "\r\n"
     writer.write(head.encode("latin-1") + body)
     await writer.drain()
+
+
+def http_exchange(
+    host: str,
+    port: int,
+    method: str,
+    path: str,
+    body: Optional[bytes] = None,
+    *,
+    timeout: float,
+):
+    """One blocking HTTP/1.1 request (stdlib only, one connection).
+
+    A request with a body is sent as ``application/json``.  Returns
+    ``(status, response body, response headers)``; connection failures
+    propagate as ``OSError`` (a read that outlives ``timeout`` as
+    ``TimeoutError``), for the caller to map onto its own errors.
+    """
+    # Imported here: http.client pulls in the email package (about 1 MB
+    # of modules) that a daemon, which only answers requests, never needs.
+    import http.client
+
+    conn = http.client.HTTPConnection(host, port, timeout=timeout)
+    try:
+        conn.request(
+            method, path, body=body,
+            headers={"Content-Type": "application/json"} if body else {},
+        )
+        response = conn.getresponse()
+        return response.status, response.read(), response.headers
+    finally:
+        conn.close()
 
 
 class Daemon:

@@ -108,10 +108,6 @@ class BatchQueue:
         return len(self._pending)
 
     @property
-    def inflight_batches(self) -> int:
-        return len(self._active)
-
-    @property
     def abandoned_batches(self) -> int:
         """Batches abandoned past their deadline (threads left to finish)."""
         return self._abandoned

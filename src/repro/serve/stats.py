@@ -52,6 +52,15 @@ class BackendThroughput:
         }
 
 
+#: The :class:`ServiceStats` counters, as ``/stats`` and the ledger row
+#: report them.
+COUNTERS = (
+    "requests", "hits", "coalesced", "executed", "failed", "rejected",
+    "batches", "shed", "timed_out", "retried", "drain_errors", "audited",
+    "audit_failures",
+)
+
+
 @dataclass
 class ServiceStats:
     """Hit/coalesce/execute counters plus per-backend throughput."""
@@ -171,23 +180,15 @@ class ServiceStats:
                 == self.requests
             )
 
+    def _counters(self) -> dict:
+        """Every counter by name (call with the lock held)."""
+        return {name: getattr(self, name) for name in COUNTERS}
+
     def snapshot(self, *, queue_depth: int = 0, inflight: int = 0) -> dict:
         """A consistent JSON-safe view for the ``/stats`` endpoint."""
         with self._lock:
             return {
-                "requests": self.requests,
-                "hits": self.hits,
-                "coalesced": self.coalesced,
-                "executed": self.executed,
-                "failed": self.failed,
-                "rejected": self.rejected,
-                "batches": self.batches,
-                "shed": self.shed,
-                "timed_out": self.timed_out,
-                "retried": self.retried,
-                "drain_errors": self.drain_errors,
-                "audited": self.audited,
-                "audit_failures": self.audit_failures,
+                **self._counters(),
                 "served": self.hits + self.coalesced + self.executed,
                 "queue_depth": queue_depth,
                 "inflight": inflight,
@@ -204,19 +205,7 @@ class ServiceStats:
             return {
                 "kind": "serve",
                 "ts": round(time.time(), 3),
-                "requests": self.requests,
-                "hits": self.hits,
-                "coalesced": self.coalesced,
-                "executed": self.executed,
-                "failed": self.failed,
-                "rejected": self.rejected,
-                "batches": self.batches,
-                "shed": self.shed,
-                "timed_out": self.timed_out,
-                "retried": self.retried,
-                "drain_errors": self.drain_errors,
-                "audited": self.audited,
-                "audit_failures": self.audit_failures,
+                **self._counters(),
                 "uptime_seconds": round(time.time() - self.started_at, 3),
                 "backend": ",".join(sorted(self.per_backend)),
             }

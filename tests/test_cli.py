@@ -90,6 +90,37 @@ class TestCommands:
         second = json.loads(capsys.readouterr().out)
         assert first == second
 
+    def test_sweep_leaves_failed_cells_out_of_geomeans(self, monkeypatch, capsys):
+        import repro.harness.parallel as parallel
+
+        real = parallel._execute
+
+        def failing(job, attempt=1):
+            if (job.benchmark_name, job.scheduler) == ("SYRK", "ciao-c"):
+                raise RuntimeError("injected failure")
+            return real(job, attempt)
+
+        monkeypatch.setattr(parallel, "_execute", failing)
+        argv = ["sweep", "-b", "ATAX", "SYRK", "-s", "gto", "ciao-c",
+                "--scale", "0.03", "--workers", "1", "--on-error", "skip"]
+        assert main(argv + ["--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["normalized_ipc"]["SYRK"] == {"gto": 1.0}
+        atax = data["normalized_ipc"]["ATAX"]["ciao-c"]
+        assert [(f["benchmark"], f["scheduler"]) for f in data["failures"]] == [
+            ("SYRK", "ciao-c")
+        ]
+
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        geomeans = dict(
+            line.split() for line in out.split("Geomean speedup over gto:\n")[1]
+            .split("\n\n")[0].splitlines()
+        )
+        # The one surviving ciao-c cell is the geomean; the failure is not a 0.
+        assert geomeans == {"gto": "1.000", "ciao-c": f"{atax:.3f}"}
+        assert "SYRK/ciao-c: RuntimeError: injected failure" in out
+
     def test_reproduce_table(self, capsys):
         rc = main(["reproduce", "table1"])
         assert rc == 0

@@ -45,6 +45,8 @@ class TestRecording:
         record_sweep(SweepStats(jobs=1, executed=1), path=path)
         with open(path, "a") as fh:
             fh.write("not json\n")
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe bit rot\n")  # not even UTF-8
         record_sweep(SweepStats(jobs=2, executed=2), path=path)
         entries = read_ledger(path)
         assert [e["jobs"] for e in entries] == [1, 2]

@@ -62,6 +62,8 @@ class TestManifestFile:
             fh.write("{not json\n")
             fh.write(json.dumps({"schema": 999, "key": "k2", "status": "done"}) + "\n")
             fh.write(json.dumps({"schema": 1, "key": "k3", "status": "nope"}) + "\n")
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe bit rot\n")  # not even UTF-8
         entries = load_manifest(path)
         assert set(entries) == {"k1"}
 

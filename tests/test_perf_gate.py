@@ -105,3 +105,36 @@ def test_gate_end_to_end(tmp_path, change_run, code):
     for metric in METRICS:  # every metric gets a verdict
         row = next(line for line in lines if line.startswith(metric["name"] + " "))
         assert row.split()[-1] in ("ok", "REGRESSED")
+
+
+def test_each_side_warms_its_own_fresh_bytecode_cache(tmp_path, monkeypatch):
+    # Stub runs record the bytecode settings they see: one fresh prefix per
+    # side for the whole gate, and bytecode writing on even when the
+    # gate's own environment turns it off.
+    record = (
+        "import json, sys\n"
+        "with open('seen.jsonl', 'a') as fh:\n"
+        "    fh.write(json.dumps([sys.pycache_prefix, sys.dont_write_bytecode]) + '\\n')\n"
+    )
+    base = _stub_tree(tmp_path / "base", verdict())
+    change = _stub_tree(tmp_path / "change", verdict())
+    for tree in (base, change):
+        run_py = tree / "perfbench" / "run.py"
+        run_py.write_text(record + run_py.read_text())
+    shutil.copy(ROOT / "BENCHMARK.json", change / "BENCHMARK.json")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "shared"))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), str(base), "fig8-cold"],
+        cwd=change, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    prefixes = set()
+    for tree in (base, change):
+        rows = [json.loads(line) for line in (tree / "seen.jsonl").read_text().splitlines()]
+        assert len(rows) == 5
+        assert {tuple(row) for row in rows} == {(rows[0][0], False)}
+        prefixes.add(rows[0][0])
+    assert len(prefixes) == 2 and str(tmp_path / "shared") not in prefixes
+    # Fresh per gate: the prefixes are gone once it has finished.
+    assert not any(Path(prefix).exists() for prefix in prefixes)

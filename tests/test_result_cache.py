@@ -1,5 +1,6 @@
 """Tests for the content-addressed result cache (repro.harness.cache)."""
 
+import math
 import pickle
 
 import pytest
@@ -8,7 +9,7 @@ import repro.harness.parallel as parallel_mod
 from repro.api import SimulationRequest
 from repro.core.config import CIAOParameters
 from repro.gpu.config import GPUConfig
-from repro.harness.cache import ResultCache, canonicalize, code_fingerprint
+from repro.harness.cache import ResultCache, code_fingerprint
 from repro.harness.parallel import run_jobs
 from repro.harness.runner import RunConfig
 
@@ -127,6 +128,12 @@ class TestMultiTenantKeys:
         wide = self._request(split_a=(0, 1), split_b=(2,))
         assert narrow.cache_key() != wide.cache_key()
 
+    def test_derived_machine_size_and_tag_share_a_key(self):
+        # total_sms equal to the partition's own size is the same machine,
+        # and a tag only routes results.
+        assert self._request(total_sms=3, tag="x").cache_key() == \
+            self._request().cache_key()
+
     def test_machine_size_changes_key(self):
         # Idle SMs change the machine's L2/DRAM share, so an isolated
         # baseline must not alias the dense two-tenant layout.
@@ -177,18 +184,30 @@ class TestMultiTenantKeys:
 
 
 class TestCanonicalize:
+    """What the key codec canonicalises away, and what it keeps exact."""
+
     def test_primitives_dataclasses_enums(self):
+        from dataclasses import replace
+
         from repro.workloads.registry import get_benchmark
         from repro.workloads.spec import WorkloadClass
 
         spec = get_benchmark("SYRK")
-        out = canonicalize(spec)
-        assert out["__type__"] == "BenchmarkSpec"
-        assert out["workload_class"] == "WorkloadClass.SWS"
-        assert canonicalize(WorkloadClass.LWS) == "WorkloadClass.LWS"
-        assert canonicalize(0.1) == f"f:{0.1!r}"
-        assert canonicalize((1, "a", None)) == [1, "a", None]
-        assert canonicalize({"b": 1, "a": 2}) == {"b": 1, "a": 2}
+        base = SimulationRequest("SYRK", "gto", SMALL).cache_key()
+        # A spec object keys like its name, and the free-form tag is not
+        # part of the job's identity.
+        assert SimulationRequest(spec, "gto", SMALL, tag="x").cache_key() == base
+        # Every field of the spec is part of it, enums and nested models too.
+        assert SimulationRequest(
+            replace(spec, workload_class=WorkloadClass.LWS), "gto", SMALL
+        ).cache_key() != base
+        wider = replace(spec, model=replace(spec.model, tile_kb=spec.model.tile_kb * 2))
+        assert SimulationRequest(wider, "gto", SMALL).cache_key() != base
+        # Floats are hashed exactly: adjacent doubles never alias.
+        assert SimulationRequest("SYRK", "gto", RunConfig(scale=0.1)).cache_key() != \
+            SimulationRequest(
+                "SYRK", "gto", RunConfig(scale=math.nextafter(0.1, 1.0))
+            ).cache_key()
 
 
 class TestStorage:
