@@ -331,6 +331,11 @@ def _cmd_run_tenants(args) -> int:
     return 0
 
 
+def _canonical_schedulers(names) -> list[str]:
+    """Canonical scheduler names, each once, in first-given order."""
+    return list(dict.fromkeys(canonical_scheduler_name(name) for name in names))
+
+
 def cmd_run(args) -> int:
     if args.tenants and args.scenario:
         raise ValueError("use either --tenants or --scenario, not both")
@@ -341,7 +346,7 @@ def cmd_run(args) -> int:
     if args.isolated:
         raise ValueError("--isolated only applies to --tenants/--scenario runs")
     get_benchmark(args.benchmark)  # validate up front for a clean error
-    schedulers = [canonical_scheduler_name(s) for s in (args.schedulers or ["gto"])]
+    schedulers = _canonical_schedulers(args.schedulers or ["gto"])
     config = _run_config(args)
     jobs = [
         SimulationRequest(args.benchmark, sched, config, backend=args.backend)
@@ -397,7 +402,7 @@ def _sweep_retry_policy(args) -> Optional[RetryPolicy]:
 
 def cmd_sweep(args) -> int:
     benchmarks = resolve_benchmark_names(args.benchmarks)
-    schedulers = [canonical_scheduler_name(s) for s in args.schedulers]
+    schedulers = _canonical_schedulers(args.schedulers)
 
     backend = args.backend
     if args.chaos:
@@ -534,7 +539,7 @@ def cmd_sweep(args) -> int:
           f"{', per-job seeds' if args.seed_per_job else ''}):")
     print(format_table(
         [{"benchmark": bench, **row} for bench, row in normalized.items()],
-        columns=["benchmark", *dict.fromkeys(schedulers)],
+        columns=["benchmark", *schedulers],
     ))
     geomeans = speedup_summary(grid, baseline)
     print("\nGeomean speedup over", baseline + ":")

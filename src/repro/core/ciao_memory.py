@@ -1,34 +1,25 @@
 """CIAO on-chip memory architecture policy.
 
 The *mechanism* of the CIAO on-chip memory architecture -- the shared-memory
-cache layout, the address translation unit, the MSHR extension and the
-datapath multiplexer -- lives in :mod:`repro.mem.shared_cache`,
-:mod:`repro.mem.mshr` and the SM's load/store path.  This module implements
+cache layout and the address translation unit -- lives in
+:mod:`repro.mem.shared_cache`, and the SM's load/store path steers an
+isolated warp's requests and fills to it.  This module implements
 the *policy* side (Section III-B): deciding which warps are isolated
 (their global requests redirected to unused shared memory), recording who
 triggered each isolation in the pair list, and undoing the redirection when
 the triggering interference disappears.
 
 It is used by :class:`repro.core.ciao_scheduler.CIAOScheduler`, and can also
-be driven directly (see ``examples/isolation_playground.py``) to study the
-redirection mechanism in isolation from the throttling policy.
+be driven directly to study the redirection mechanism in isolation from the
+throttling policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.interference import InterferenceDetector
 from repro.gpu.warp import Warp
-
-
-@dataclass
-class IsolationStats:
-    """Counts of isolation decisions."""
-
-    isolations: int = 0
-    restorations: int = 0
 
 
 class CIAOOnChipMemory:
@@ -36,7 +27,6 @@ class CIAOOnChipMemory:
 
     def __init__(self, detector: InterferenceDetector) -> None:
         self.detector = detector
-        self.stats = IsolationStats()
         self._isolated_wids: set[int] = set()
 
     # ------------------------------------------------------------------
@@ -65,9 +55,6 @@ class CIAOOnChipMemory:
         self._isolated_wids.add(warp.wid)
         entry = self.detector.pair_entry(warp.wid)
         entry.redirect_trigger = triggered_by_wid
-        self.stats.isolations += 1
-        if sm is not None:
-            sm.stats.throttle_events += 0  # isolation does not reduce TLP
         return True
 
     def restore(self, warp: Warp, sm=None) -> bool:
@@ -78,7 +65,6 @@ class CIAOOnChipMemory:
         self._isolated_wids.discard(warp.wid)
         entry = self.detector.pair_entry(warp.wid)
         entry.redirect_trigger = -1
-        self.stats.restorations += 1
         return True
 
     def forget_warp(self, warp: Warp) -> None:

@@ -56,15 +56,6 @@ class PairListEntry:
     stall_trigger: int = -1
 
 
-@dataclass
-class DetectorStats:
-    """Counters describing detector activity."""
-
-    vta_hit_events: int = 0
-    interference_list_updates: int = 0
-    interference_list_replacements: int = 0
-
-
 class InterferenceDetector:
     """Tracks per-warp interference state for one SM."""
 
@@ -84,7 +75,6 @@ class InterferenceDetector:
         self._prev_window_instructions = 0
         self.interference_list: dict[int, InterferenceListEntry] = {}
         self.pair_list: dict[int, PairListEntry] = {}
-        self.stats = DetectorStats()
 
     # ------------------------------------------------------------------
     # Updates
@@ -101,12 +91,10 @@ class InterferenceDetector:
           counter reset), so the most *frequent* interferer survives bursts
           from others.
         """
-        self.stats.vta_hit_events += 1
         self.vta_hit_counts[interfered_wid] = self.vta_hit_counts.get(interfered_wid, 0) + 1
         self._window_hits[interfered_wid] = self._window_hits.get(interfered_wid, 0) + 1
 
         entry = self.interference_list.setdefault(interfered_wid, InterferenceListEntry())
-        self.stats.interference_list_updates += 1
         if entry.interfering_wid == -1:
             entry.interfering_wid = interfering_wid
             entry.counter = 0
@@ -120,7 +108,6 @@ class InterferenceDetector:
         # Counter exhausted: adopt the new most-recent interferer.
         entry.interfering_wid = interfering_wid
         entry.counter = 0
-        self.stats.interference_list_replacements += 1
 
     # ------------------------------------------------------------------
     # Epoch windows

@@ -11,32 +11,13 @@ patterns turn into cache pressure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.mem.address import BLOCK_SIZE
 
 
-@dataclass
-class CoalescerStats:
-    """Coalescing efficiency counters."""
-
-    instructions: int = 0
-    transactions: int = 0
-    lanes: int = 0
-    histogram: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def transactions_per_instruction(self) -> float:
-        """Average memory transactions generated per memory instruction."""
-        return self.transactions / self.instructions if self.instructions else 0.0
-
-
 class Coalescer:
     """Merge per-lane addresses into unique 128-byte block transactions."""
-
-    def __init__(self) -> None:
-        self.stats = CoalescerStats()
 
     def coalesce(self, addresses: Sequence[int]) -> list[int]:
         """Return the ordered list of distinct blocks touched by ``addresses``.
@@ -51,13 +32,7 @@ class Coalescer:
         # dict.fromkeys dedups while preserving first-appearance order and
         # runs the whole merge at C speed (this is called once per memory
         # instruction with up to 32 lane addresses).
-        blocks = list(dict.fromkeys([address // BLOCK_SIZE for address in addresses]))
-        stats = self.stats
-        stats.instructions += 1
-        stats.transactions += len(blocks)
-        stats.lanes += len(addresses)
-        stats.histogram[len(blocks)] = stats.histogram.get(len(blocks), 0) + 1
-        return blocks
+        return list(dict.fromkeys([address // BLOCK_SIZE for address in addresses]))
 
     @staticmethod
     def block_to_byte(block: int) -> int:

@@ -77,7 +77,6 @@ class CTA:
 
     cta_id: int
     warps: list[Warp] = field(default_factory=list)
-    barriers_completed: int = 0
     num_at_barrier: int = 0
 
     def add_warp(self, warp: Warp) -> None:
@@ -122,7 +121,6 @@ class CTA:
             if w.at_barrier:
                 w.at_barrier = False
                 self.num_at_barrier -= 1
-        self.barriers_completed += 1
 
     def is_finished(self) -> bool:
         """True when every warp of the CTA retired."""

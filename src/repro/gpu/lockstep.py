@@ -60,12 +60,12 @@ SM-cycles, and both keep every SM's L2/DRAM accesses in the
   a refused access never reaches (the MSHR and L1D check comes first).
   ``select`` runs over the same issuable list, and the sticky contract
   makes it return the same warp without changing the scheduler.  So every
-  skipped step repeats the refused access's coalescer and stall counters
-  (or again finds nothing issuable) and touches no shared state.  The SM
-  wakes at the first lock-step cycle ``w`` at or after the bound (the
-  global fast-forward may pass a timer bound, just as it would with the SM
-  awake) and is credited ``w - c`` stall cycles plus the recorded deltas
-  once per skipped iteration
+  skipped step repeats the refused access's stall counters (or again finds
+  nothing issuable) and touches no shared state.  The SM wakes at the
+  first lock-step cycle ``w`` at or after the bound (the global
+  fast-forward may pass a timer bound, just as it would with the SM awake)
+  and is credited ``w - c`` stall cycles plus those stall counters once
+  per skipped iteration
   (:meth:`~repro.gpu.vector.engine.VectorSM.wake`).  A sleeper's
   next fill still counts in the fast-forward target, and since a sleeper
   always has one, the livelock branch never runs while anyone sleeps.

@@ -68,8 +68,7 @@ from repro.gpu.instruction import Instruction, InstructionKind
 from repro.gpu.stats import SMStats
 from repro.gpu.warp import Warp
 from repro.mem.cache import AccessOutcome, Cache
-from repro.mem.mshr import MSHRFile, MSHRTarget
-from repro.mem.queues import DatapathMux, QueueEntry, ResponseQueue, WriteQueue
+from repro.mem.mshr import MSHRFile
 from repro.mem.shared_cache import SharedMemoryCache
 from repro.mem.shared_memory import SharedMemory
 from repro.mem.subsystem import MemorySubsystem
@@ -136,9 +135,6 @@ class StreamingMultiprocessor:
         self.shared_cache: Optional[SharedMemoryCache] = None
         self.mshr = MSHRFile(config.mshr_entries, config.mshr_max_merged)
         self.coalescer = Coalescer()
-        self.response_queue = ResponseQueue()
-        self.write_queue = WriteQueue()
-        self.datapath_mux = DatapathMux()
 
         self.warps: list[Warp] = []
         self.ctas: dict[int, CTA] = {}
@@ -152,7 +148,6 @@ class StreamingMultiprocessor:
         self.events_version = 0
         self._pending_ctas: deque[int] = deque()
         self._kernel: Optional[KernelLaunch] = None
-        self._next_cta_index = 0
         #: Free warp slots kept as a min-heap (lowest slot assigned first,
         #: exactly like the historical sorted-list-pop(0) behaviour).
         self._free_warp_slots: list[int] = []
@@ -160,7 +155,6 @@ class StreamingMultiprocessor:
         self._last_sample_cycle = 0
         self._last_sample_instructions = 0
         self._last_sample_vta_hits = 0
-        self._request_seq = 0
 
         # -- incremental ready index (see module docstring) -----------------
         self._warps_by_wid: dict[int, Warp] = {}
@@ -188,7 +182,6 @@ class StreamingMultiprocessor:
         kernel.validate()
         self._kernel = kernel
         self._pending_ctas = deque(range(kernel.num_ctas))
-        self._next_cta_index = 0
         self._free_warp_slots = list(range(self.config.max_warps_per_sm))  # sorted == valid heap
         self._warps_by_wid.clear()
         self._ready_orders.clear()
@@ -476,7 +469,7 @@ class StreamingMultiprocessor:
                 # Structural hazard: replay the same instruction later.
                 break
             warp._peeked = None  # consume (inlined Warp.advance)
-            warp.note_issue(instruction, now)
+            warp.note_issue()
             record_issue(warp.wid)
             self._reindex_warp(warp)
             if notify_issue is not None:
@@ -608,7 +601,7 @@ class StreamingMultiprocessor:
             self._notify_access(warp, hit=True, vta_hit=None, destination="l1d", now=now)
             return now + self.l1d.hit_latency
         if result.outcome is AccessOutcome.HIT_RESERVED:
-            self._merge_or_allocate(warp, block, now, destination="l1d", send=False)
+            self._merge_or_allocate(warp, block, now, destination="l1d")
             self._notify_access(warp, hit=False, vta_hit=None, destination="l1d", now=now)
             return None
         # Genuine miss: record the eviction in the VTA, then probe the VTA for
@@ -618,20 +611,19 @@ class StreamingMultiprocessor:
         vta_hit = self.vta.probe(warp.wid, block)
         if vta_hit is not None:
             self.stats.record_vta_hit(vta_hit.wid, vta_hit.evictor_wid)
-        self._merge_or_allocate(warp, block, now, destination="l1d", send=True)
+        self._merge_or_allocate(warp, block, now, destination="l1d")
         self._notify_access(warp, hit=False, vta_hit=vta_hit, destination="l1d", now=now)
         return None
 
     def _load_via_shared_cache(self, warp: Warp, block: int, byte_address: int, now: int) -> Optional[int]:
         assert self.shared_cache is not None
         self.stats.redirected_accesses += 1
-        self.datapath_mux.route(DatapathMux.SHARED)
         access = self.shared_cache.access(byte_address, warp.wid, is_write=False, now=now)
         if access.hit and not access.reserved_pending:
             self._notify_access(warp, hit=True, vta_hit=None, destination="shared", now=now)
             return now + self.shared_cache.hit_latency
         if access.hit and access.reserved_pending:
-            self._merge_or_allocate(warp, block, now, destination="shared", send=False)
+            self._merge_or_allocate(warp, block, now, destination="shared")
             self._notify_access(warp, hit=False, vta_hit=None, destination="shared", now=now)
             return None
         # Miss in the shared cache.
@@ -647,38 +639,32 @@ class StreamingMultiprocessor:
             self.l1d.invalidate(byte_address)
             self.stats.migrations_l1_to_shared += 1
             self._schedule_fill(block, now + self.MIGRATION_LATENCY, destination="shared")
-            target = MSHRTarget(wid=warp.wid, request_id=self._next_request_id())
-            entry, _ = self.mshr.allocate(block, target, now, destination="shared")
+            entry, _ = self.mshr.allocate(block, warp.wid)
             if entry is not None:
                 warp.pending_loads += 1
             self._notify_access(warp, hit=False, vta_hit=vta_hit, destination="shared", now=now)
             return None
-        self._merge_or_allocate(warp, block, now, destination="shared", send=True)
+        self._merge_or_allocate(warp, block, now, destination="shared")
         self._notify_access(warp, hit=False, vta_hit=vta_hit, destination="shared", now=now)
         return None
 
     def _load_bypass(self, warp: Warp, block: int, now: int) -> None:
         """statPCAL-style L1D bypass: fetch straight from L2/DRAM."""
         self.stats.bypassed_accesses += 1
-        self._merge_or_allocate(warp, block, now, destination="bypass", send=True)
+        self._merge_or_allocate(warp, block, now, destination="bypass")
         self._notify_access(warp, hit=False, vta_hit=None, destination="bypass", now=now)
 
-    def _merge_or_allocate(
-        self, warp: Warp, block: int, now: int, *, destination: str, send: bool
-    ) -> None:
-        target = MSHRTarget(wid=warp.wid, request_id=self._next_request_id())
-        entry, is_new = self.mshr.allocate(block, target, now, destination=destination)
+    def _merge_or_allocate(self, warp: Warp, block: int, now: int, *, destination: str) -> None:
+        entry, is_new = self.mshr.allocate(block, warp.wid)
         if entry is None:
             # Pre-check should prevent this; treat as an extra-latency retry.
             self.stats.stalls.mshr_full += 1
             return
         warp.pending_loads += 1
         if is_new:
-            if not send:
-                # Defensive: a reserved line without an outstanding MSHR entry
-                # should not happen, but if it does, request the fill anyway so
-                # the warp cannot wait forever.
-                send = True
+            # A new entry always requests the fill, also for a reserved line
+            # without an outstanding MSHR entry (defensive: it should not
+            # happen), so the warp cannot wait forever.
             completion = self.memory.read_block(self.sm_id, block, warp.wid, now)
             self._schedule_fill(block, completion, destination=destination)
 
@@ -687,24 +673,16 @@ class StreamingMultiprocessor:
         byte_address = block * self.l1d.config.line_size
         if use_shared and self.shared_cache is not None:
             self.stats.redirected_accesses += 1
-            self.datapath_mux.route(DatapathMux.SHARED)
             self.shared_cache.access(byte_address, warp.wid, is_write=True, now=now)
             self.shared_cache.fill(block, now)
         else:
-            self.datapath_mux.route(DatapathMux.L1D)
             self.l1d.access(byte_address, warp.wid, is_write=True, now=now)
-        # Global stores are write-through: post to the write queue and L2.
-        self.write_queue.push(QueueEntry(block=block, wid=warp.wid, ready_at=now, destination="l2"))
-        self.write_queue.pop_ready(now)
+        # Global stores are write-through to L2.
         self.memory.write_block(self.sm_id, block, warp.wid, now)
 
     # ------------------------------------------------------------------
     # Events
     # ------------------------------------------------------------------
-    def _next_request_id(self) -> int:
-        self._request_seq += 1
-        return self._request_seq
-
     def _schedule_fill(self, block: int, time: int, *, destination: str) -> None:
         self._event_seq += 1
         self.events_version += 1
@@ -729,8 +707,8 @@ class StreamingMultiprocessor:
         if entry is None:
             return
         by_wid = self._warps_by_wid
-        for target in entry.targets:
-            warp = by_wid.get(target.wid)
+        for wid in entry.targets:
+            warp = by_wid.get(wid)
             if warp is not None and warp.pending_loads > 0:
                 warp.pending_loads -= 1
                 if warp.pending_loads == 0 and warp.ready_at < now + 1:

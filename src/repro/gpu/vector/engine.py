@@ -68,11 +68,10 @@ from typing import Mapping, Optional
 
 from repro.gpu.cta import KernelLaunch
 from repro.gpu.gpu import GPU, SimulationResult
-from repro.gpu.instruction import KIND_CODE, WARP_LANES, InstructionKind
+from repro.gpu.instruction import KIND_CODE, InstructionKind
 from repro.gpu.sm import StreamingMultiprocessor
 from repro.gpu.stats import SMStats
 from repro.gpu.vector.trace import REPLAYED, KernelTrace
-from repro.mem.mshr import MSHRTarget
 
 _K_STORE = InstructionKind.STORE
 _, _C_LOAD, _C_STORE, _C_SHARED_LOAD, _C_SHARED_STORE, _C_BARRIER, _C_EXIT = KIND_CODE.values()
@@ -89,7 +88,7 @@ class VectorSM(StreamingMultiprocessor):
         scheduler,
         *,
         enable_shared_cache: bool = False,
-        kernel_trace: Optional[KernelTrace] = None,
+        kernel_trace: KernelTrace,
     ) -> None:
         super().__init__(
             sm_id,
@@ -120,60 +119,52 @@ class VectorSM(StreamingMultiprocessor):
         self._notify_greedy_only = False
         self._due_fn = None
         self._may_sleep = False
-        #: ``(cycle, repeat)`` of the last refused global access, where
-        #: ``repeat`` is its ``(transactions, reservation failed)`` counter
-        #: deltas, or ``None`` when they are unknown.
-        self._refused: Optional[tuple] = None
-        #: The deltas a sleeping SM repeats per lock-step cycle it skips.
-        self._repeat: Optional[tuple] = None
+        #: ``(cycle, reservation failed)`` of the last refused global access.
+        self._refused: Optional[tuple[int, bool]] = None
+        #: Whether a sleeping SM repeats a refused access per lock-step cycle
+        #: it skips (and whether that access's L1D reservation failed), or
+        #: ``None`` when it found nothing issuable.
+        self._repeat: Optional[bool] = None
 
     # ------------------------------------------------------------------
     # Launch: substitute trace replay for the generator streams
     # ------------------------------------------------------------------
     def launch(self, kernel: KernelLaunch) -> None:
         ktrace = self._kernel_trace
-        if ktrace is not None:
-            traces = self._traces
-            mem_sets = self._mem_sets
-            mem_sets_l2 = self._mem_sets_l2
-            shared_costs = self._shared_costs
-            l1d_geometry = self._l1d_geometry
-            l2_geometry = self._l2_geometry
-            shared_memory = self.shared_memory
-            traces.clear()
-            mem_sets.clear()
-            mem_sets_l2.clear()
-            shared_costs.clear()
+        traces = self._traces
+        mem_sets = self._mem_sets
+        mem_sets_l2 = self._mem_sets_l2
+        shared_costs = self._shared_costs
+        l1d_geometry = self._l1d_geometry
+        l2_geometry = self._l2_geometry
+        shared_memory = self.shared_memory
+        traces.clear()
+        mem_sets.clear()
+        mem_sets_l2.clear()
+        shared_costs.clear()
 
-            def replay(cta_index: int, warp_index: int, wid: int):
-                warp_trace = ktrace.warp(cta_index, warp_index)
-                traces[wid] = warp_trace
-                mem_sets[wid] = warp_trace.sets_for_geometry(l1d_geometry)
-                mem_sets_l2[wid] = warp_trace.sets_for_geometry(l2_geometry)
-                if warp_trace.shared_offsets:
-                    entry = shared_memory.smmt.find(f"cta:{cta_index}")
-                    base = entry.base if entry is not None else 0
-                    limit = (
-                        entry.size
-                        if entry is not None
-                        else shared_memory.capacity_bytes
-                    )
-                    shared_costs[wid] = warp_trace.shared_costs_for(
-                        base,
-                        limit,
-                        bank_width=shared_memory.BANK_WIDTH_BYTES,
-                        num_banks=shared_memory.NUM_BANKS,
-                    )
-                return warp_trace.replay()
+        def replay(cta_index: int, warp_index: int, wid: int):
+            warp_trace = ktrace.warp(cta_index, warp_index)
+            traces[wid] = warp_trace
+            mem_sets[wid] = warp_trace.sets_for_geometry(l1d_geometry)
+            mem_sets_l2[wid] = warp_trace.sets_for_geometry(l2_geometry)
+            if warp_trace.shared_offsets:
+                entry = shared_memory.smmt.find(f"cta:{cta_index}")
+                base = entry.base if entry is not None else 0
+                limit = entry.size if entry is not None else shared_memory.capacity_bytes
+                shared_costs[wid] = warp_trace.shared_costs_for(
+                    base,
+                    limit,
+                    bank_width=shared_memory.BANK_WIDTH_BYTES,
+                    num_banks=shared_memory.NUM_BANKS,
+                )
+            return warp_trace.replay()
 
-            kernel = replace(kernel, stream_factory=replay)
         self._greedy_warp = None
-        super().launch(kernel)
+        super().launch(replace(kernel, stream_factory=replay))
         scheduler = self.scheduler
-        self._sticky_ok = (
-            ktrace is not None
-            and self._issue_width == 1
-            and bool(getattr(scheduler, "vector_sticky_select", False))
+        self._sticky_ok = self._issue_width == 1 and bool(
+            getattr(scheduler, "vector_sticky_select", False)
         )
         self._fast_select_ok = self._sticky_ok and bool(
             getattr(scheduler, "vector_select_pure_greedy", False)
@@ -290,7 +281,7 @@ class VectorSM(StreamingMultiprocessor):
                     # ends without an issue (issue width is 1 here).
                     return False
                 warp._peeked = None
-                warp.note_issue(instruction, now)
+                warp.note_issue()
                 self._record_issue(warp.wid)
                 self._reindex_warp(warp)
                 notify_issue = hooks.notify_issue
@@ -315,7 +306,7 @@ class VectorSM(StreamingMultiprocessor):
             if not self._execute(warp, instruction, now):
                 break
             warp._peeked = None
-            warp.note_issue(instruction, now)
+            warp.note_issue()
             record_issue(warp.wid)
             self._reindex_warp(warp)
             if notify_issue is not None:
@@ -359,15 +350,13 @@ class VectorSM(StreamingMultiprocessor):
         later step re-selects the same warp (the sticky ``select`` contract)
         and repeats the same refused access, or again finds nothing
         issuable.  Returns that bound (``None`` when the SM may not sleep)
-        and keeps the step's counter deltas for :meth:`wake`.
+        and keeps what the step refused for :meth:`wake`.
         """
         events = self._events
         if not self._may_sleep or not events:
             return None
         refused = self._refused
         if refused is not None and refused[0] == now:
-            if refused[1] is None:
-                return None
             self._repeat = refused[1]
         else:
             self._repeat = None  # nothing was issuable: nothing to repeat
@@ -392,15 +381,9 @@ class VectorSM(StreamingMultiprocessor):
     def wake(self, stalled: int, repeats: int) -> None:
         """Settle a sleep: ``stalled`` lost cycles, ``repeats`` skipped steps."""
         self.record_stall(stalled)
-        repeat = self._repeat
-        if repeat is None or not repeats:
+        reservation = self._repeat
+        if reservation is None or not repeats:
             return
-        transactions, reservation = repeat
-        coalescer_stats = self.coalescer.stats
-        coalescer_stats.instructions += repeats
-        coalescer_stats.transactions += transactions * repeats
-        coalescer_stats.lanes += WARP_LANES * repeats
-        coalescer_stats.histogram[transactions] += repeats
         stalls = self.stats.stalls
         stalls.mshr_full += repeats
         if reservation:
@@ -433,9 +416,7 @@ class VectorSM(StreamingMultiprocessor):
           attempt, like the reference's, ends the cycle without an issue
           (``_batch_stalled``).
         """
-        trace = self._traces.get(warp.wid)
-        if trace is None:
-            return now
+        trace = self._traces[warp.wid]
         hooks = self._hooks
         on_cycle = hooks.on_cycle
         due_fn = self._due_fn
@@ -531,7 +512,6 @@ class VectorSM(StreamingMultiprocessor):
                         notify_due = notify_due_fn()
                     # Greedy-tracking-only notify is skipped outright: the
                     # pointer already names this warp.
-                warp.last_issue_cycle = now + k - 1
                 warp.ready_at = now + k
                 now += k
                 issued_in_batch = True
@@ -580,7 +560,7 @@ class VectorSM(StreamingMultiprocessor):
                 self._batch_stalled = True
                 break
             next(warp.instructions, None)  # consume from the replay iterator
-            warp.note_issue(instruction, now)
+            warp.note_issue()
             stats.instructions_issued += 1
             per_warp[wid] = per_warp.get(wid, 0) + 1
             # No per-issue _reindex_warp: nothing queries the ready index
@@ -649,32 +629,22 @@ class VectorSM(StreamingMultiprocessor):
     # Pre-coalesced global-memory path
     # ------------------------------------------------------------------
     def _execute_global(self, warp, instruction, now: int) -> bool:
-        trace = self._traces.get(warp.wid)
-        if trace is not None:
-            index = warp.instructions_issued
-            mem_ix = trace.access_index[index]
-            if mem_ix >= 0 and REPLAYED[trace.kind_codes[index]] is instruction:
-                return self._execute_global_traced(
-                    warp, trace, mem_ix, instruction, now
-                )
-        # No trace, or a replay desync (e.g. a test hand-fed this SM a
-        # foreign stream): fall back to the reference path rather than guess.
-        if super()._execute_global(warp, instruction, now):
-            return True
-        self._refused = (now, None)  # deltas unknown: no sleeping on it
-        return False
+        trace = self._traces[warp.wid]
+        return self._execute_global_traced(
+            warp, trace, trace.access_index[warp.instructions_issued], instruction, now
+        )
 
-    def _refuse(self, now: int, transactions: int, reservation: bool) -> bool:
+    def _refuse(self, now: int, reservation: bool) -> bool:
         """Count a global access refused for want of MSHR or L1D room.
 
-        Keeps the attempt's counter deltas (beyond the coalescer accounting
-        already done) so a sleeping SM can repeat them (:meth:`sleep_bound`).
+        Keeps whether the L1D reservation failed, so a sleeping SM can repeat
+        the attempt's stall counters (:meth:`sleep_bound`).
         """
         stalls = self.stats.stalls
         if reservation:
             stalls.reservation_fail += 1
         stalls.mshr_full += 1
-        self._refused = (now, (transactions, reservation))
+        self._refused = (now, reservation)
         return False
 
     def _execute_global_traced(self, warp, trace, mem_ix, instruction, now):
@@ -691,15 +661,6 @@ class VectorSM(StreamingMultiprocessor):
         should_bypass_l1 = self._hooks.should_bypass_l1
         if not use_shared and should_bypass_l1 is not None:
             bypass = bool(should_bypass_l1(warp, now))
-        # Coalescer accounting precedes the resource check, exactly like the
-        # reference path (a replayed attempt is re-counted there too).
-        coalescer_stats = self.coalescer.stats
-        coalescer_stats.instructions += 1
-        coalescer_stats.transactions += transactions
-        coalescer_stats.lanes += WARP_LANES
-        coalescer_stats.histogram[transactions] = (
-            coalescer_stats.histogram.get(transactions, 0) + 1
-        )
         stats = self.stats
         plain_load = not is_write and not use_shared and not bypass
         if plain_load and transactions == 1:
@@ -748,9 +709,6 @@ class VectorSM(StreamingMultiprocessor):
             if line is not None:
                 line.last_used_at = now
                 l1d_stats.hits += 1
-                l1d_stats.per_warp_hits[wid] = (
-                    l1d_stats.per_warp_hits.get(wid, 0) + 1
-                )
                 if not line.reserved:
                     ready = now + hit_latency
                     if ready > latency_floor:
@@ -759,8 +717,7 @@ class VectorSM(StreamingMultiprocessor):
                         notify(warp, True, None, "l1d", now)
                     continue
                 # HIT_RESERVED: merge onto the outstanding fill.
-                target = MSHRTarget(wid=wid, request_id=self._next_request_id())
-                entry, is_new = mshr.allocate(block, target, now, destination="l1d")
+                entry, is_new = mshr.allocate(block, wid)
                 if entry is None:
                     stats.stalls.mshr_full += 1
                 else:
@@ -805,32 +762,29 @@ class VectorSM(StreamingMultiprocessor):
         victim = None
         if entry is not None:
             if len(entry.targets) >= mshr.max_merged:
-                return self._refuse(now, 1, False)
+                return self._refuse(now, False)
             if line is None:
                 victim = tags.find_victim(set_index)
         elif line is None:
             victim = tags.find_victim(set_index)
             if victim is None:
-                return self._refuse(now, 1, True)
+                return self._refuse(now, True)
             if len(mshr._entries) >= mshr.num_entries:
-                return self._refuse(now, 1, False)
+                return self._refuse(now, False)
         stats = self.stats
         stats.global_memory_instructions += 1
         notify = self._hooks.notify_global_access
         wid = warp.wid
         if line is not None:
-            l1d_stats = self.l1d.stats
             line.last_used_at = now
-            l1d_stats.hits += 1
-            l1d_stats.per_warp_hits[wid] = l1d_stats.per_warp_hits.get(wid, 0) + 1
+            self.l1d.stats.hits += 1
             if not line.reserved:
                 ready = now + self.l1d.hit_latency
                 warp.ready_at = ready if ready > now + 1 else now + 1
                 if notify is not None:
                     notify(warp, True, None, "l1d", now)
                 return True
-            target = MSHRTarget(wid=wid, request_id=self._next_request_id())
-            entry, is_new = mshr.allocate(block, target, now, destination="l1d")
+            entry, is_new = mshr.allocate(block, wid)
             if entry is None:
                 stats.stalls.mshr_full += 1
             else:
@@ -854,32 +808,20 @@ class VectorSM(StreamingMultiprocessor):
         in the VTA, probes lost locality, allocates/merges the MSHR entry and
         requests the fill — same objects, same counters, same order.
         """
-        l1d = self.l1d
-        l1d_stats = l1d.stats
         wid = warp.wid
-        if victim is None:
-            l1d_stats.reservation_fails += 1
-            eviction = None
-        else:
+        vta = self.vta
+        if victim is not None:
+            l1d = self.l1d
             eviction = l1d.tags.fill_line(
                 victim, set_index, block, owner_wid=wid, now=now, reserve=True
             )
-            l1d_stats.misses += 1
-            l1d_stats.per_warp_misses[wid] = (
-                l1d_stats.per_warp_misses.get(wid, 0) + 1
-            )
+            l1d.stats.misses += 1
             if eviction is not None:
-                l1d_stats.evictions += 1
-                if eviction.dirty:
-                    l1d_stats.writebacks += 1
-        vta = self.vta
-        if eviction is not None:
-            vta.record_eviction(eviction.owner_wid, eviction.tag, wid)
+                vta.record_eviction(eviction.owner_wid, eviction.tag, wid)
         vta_hit = vta.probe(wid, block)
         if vta_hit is not None:
             self.stats.record_vta_hit(vta_hit.wid, vta_hit.evictor_wid)
-        target = MSHRTarget(wid=wid, request_id=self._next_request_id())
-        entry, is_new = self.mshr.allocate(block, target, now, destination="l1d")
+        entry, is_new = self.mshr.allocate(block, wid)
         if entry is None:
             self.stats.stalls.mshr_full += 1
         else:
@@ -906,7 +848,6 @@ class VectorSM(StreamingMultiprocessor):
         if start < port._port_free_at:
             start = port._port_free_at
         port._port_free_at = start + serialization
-        port.packets += 1
         arrival = int(start + serialization + port_config.latency)
 
         l2_slice = self.memory.l2
@@ -927,23 +868,15 @@ class VectorSM(StreamingMultiprocessor):
         if line is not None:
             line.last_used_at = at
             l2_stats.hits += 1
-            l2_stats.per_warp_hits[wid] = l2_stats.per_warp_hits.get(wid, 0) + 1
             return ready + port_config.latency
         victim = l2_cache.tags.find_victim(l2_set)
         if victim is None:
-            l2_stats.reservation_fails += 1
             return ready + port_config.latency
         eviction = l2_cache.tags.fill_line(
             victim, l2_set, block, owner_wid=wid, now=at, reserve=True
         )
         l2_stats.misses += 1
-        l2_stats.per_warp_misses[wid] = l2_stats.per_warp_misses.get(wid, 0) + 1
-        writeback = None
-        if eviction is not None:
-            l2_stats.evictions += 1
-            if eviction.dirty:
-                l2_stats.writebacks += 1
-                writeback = eviction.tag
+        writeback = eviction.tag if eviction is not None and eviction.dirty else None
         dram = l2_slice.dram
         ready = dram.service(block, ready, is_write=False, requester=self.sm_id)
         # L2 fill: clear the reservation at the data-ready time.
@@ -971,8 +904,8 @@ class VectorSM(StreamingMultiprocessor):
         if entry is None:
             return
         by_wid = self._warps_by_wid
-        for target in entry.targets:
-            warp = by_wid.get(target.wid)
+        for wid in entry.targets:
+            warp = by_wid.get(wid)
             if warp is not None and warp.pending_loads > 0:
                 warp.pending_loads -= 1
                 if warp.pending_loads == 0 and warp.ready_at < now + 1:
@@ -983,19 +916,10 @@ class VectorSM(StreamingMultiprocessor):
     # Scratchpad path: precomputed bank-conflict costs
     # ------------------------------------------------------------------
     def _execute_scratchpad(self, warp, instruction, now: int) -> bool:
-        costs = self._shared_costs.get(warp.wid)
-        trace = self._traces.get(warp.wid)
-        if costs is None or trace is None:
-            return super()._execute_scratchpad(warp, instruction, now)
-        index = warp.instructions_issued
-        shared_ix = trace.access_index[index]
-        if shared_ix < 0 or REPLAYED[trace.kind_codes[index]] is not instruction:
-            return super()._execute_scratchpad(warp, instruction, now)
-        cycles, rows = costs[shared_ix]
-        shared_stats = self.shared_memory.stats
-        shared_stats.rows_touched.update(rows)
-        shared_stats.accesses += 1
-        shared_stats.bank_conflict_cycles += cycles - 1
+        wid = warp.wid
+        shared_ix = self._traces[wid].access_index[warp.instructions_issued]
+        cycles, rows = self._shared_costs[wid][shared_ix]
+        self.shared_memory.stats.rows_touched.update(rows)
         warp.ready_at = now + (cycles if cycles > 1 else 1)
         self.stats.shared_memory_instructions += 1
         return True
@@ -1019,7 +943,7 @@ class VectorSM(StreamingMultiprocessor):
             entry = entries.get(block)
             if entry is not None:
                 if len(entry.targets) >= max_merged:
-                    return self._refuse(now, len(blocks), False)
+                    return self._refuse(now, False)
                 continue
             if probe_l1d:
                 line = None
@@ -1030,7 +954,7 @@ class VectorSM(StreamingMultiprocessor):
                 if line is not None:
                     continue
                 if l1d.tags.find_victim(sets[position]) is None:
-                    return self._refuse(now, len(blocks), True)
+                    return self._refuse(now, True)
             elif (
                 use_shared
                 and self.shared_cache is not None
@@ -1039,7 +963,7 @@ class VectorSM(StreamingMultiprocessor):
                 continue
             free_needed += 1
         if len(entries) + free_needed > mshr.num_entries:
-            return self._refuse(now, len(blocks), False)
+            return self._refuse(now, False)
         return True
 
 

@@ -21,12 +21,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.gpu.instruction import Instruction, InstructionKind
-
-# Hoisted enum members (identity comparison beats frozenset hashing in the
-# per-issue bookkeeping path).
-_K_LOAD = InstructionKind.LOAD
-_K_STORE = InstructionKind.STORE
+from repro.gpu.instruction import Instruction
 
 
 class WarpState(enum.Enum):
@@ -66,8 +61,6 @@ class Warp:
     at_barrier: bool = False
     ready_at: int = 0
     instructions_issued: int = 0
-    global_accesses: int = 0
-    last_issue_cycle: int = -1
     assigned_at: int = 0
     #: SM admission sequence number.  Assigned by the SM when the warp
     #: becomes resident; the SM's incremental ready index sorts by it so the
@@ -145,13 +138,9 @@ class Warp:
         return WarpState.READY
 
     # ------------------------------------------------------------------
-    def note_issue(self, instruction: Instruction, now: int) -> None:
+    def note_issue(self) -> None:
         """Book-keeping when an instruction issues."""
         self.instructions_issued += 1
-        self.last_issue_cycle = now
-        kind = instruction.kind
-        if kind is _K_LOAD or kind is _K_STORE:
-            self.global_accesses += 1
 
     def retire(self) -> None:
         """Mark the warp finished."""

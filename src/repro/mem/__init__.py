@@ -12,16 +12,13 @@ original work):
   per-warp ownership tracking.
 * :mod:`repro.mem.victim_tag_array` -- the per-warp Victim Tag Array used by
   CCWS and by CIAO's interference detector.
-* :mod:`repro.mem.mshr` -- miss status holding registers with request
-  merging and the CIAO extension that records a translated shared-memory
-  address for fills that must land in the shared-memory cache.
+* :mod:`repro.mem.mshr` -- miss status holding registers with per-block
+  request merging.
 * :mod:`repro.mem.shared_memory` -- banked shared memory and the Shared
   Memory Management Table (SMMT).
 * :mod:`repro.mem.shared_cache` -- the unused-shared-memory-as-cache
   structure (address translation unit, tag/data bank layout, direct-mapped
   lookup) introduced by CIAO.
-* :mod:`repro.mem.queues` -- response / write queues and the L1<->shared
-  memory datapath multiplexer.
 * :mod:`repro.mem.dram` -- GDDR5-like latency/bandwidth model.
 * :mod:`repro.mem.interconnect` -- SM <-> L2 interconnect and the L2 slice.
 * :mod:`repro.mem.subsystem` -- glue object combining L2 + DRAM shared by
@@ -36,7 +33,6 @@ from repro.mem.victim_tag_array import VictimTagArray, VTAConfig, VTAHit
 from repro.mem.mshr import MSHRFile, MSHREntry
 from repro.mem.shared_memory import SharedMemory, SharedMemoryManagementTable, SMMTEntry
 from repro.mem.shared_cache import SharedMemoryCache, AddressTranslationUnit, TranslatedAddress
-from repro.mem.queues import ResponseQueue, WriteQueue, DatapathMux
 from repro.mem.dram import DRAMModel, DRAMConfig
 from repro.mem.interconnect import Interconnect, L2Slice
 from repro.mem.subsystem import MemorySubsystem
@@ -65,9 +61,6 @@ __all__ = [
     "SharedMemoryCache",
     "AddressTranslationUnit",
     "TranslatedAddress",
-    "ResponseQueue",
-    "WriteQueue",
-    "DatapathMux",
     "DRAMModel",
     "DRAMConfig",
     "Interconnect",

@@ -15,7 +15,7 @@ Configuration follows Table I of the paper:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.mem.address import BLOCK_SIZE, AddressMapping
@@ -116,31 +116,18 @@ class CacheConfig:
 
 @dataclass
 class CacheStats:
-    """Aggregate and per-warp hit/miss counters."""
+    """Aggregate hit/miss counters."""
 
     hits: int = 0
     misses: int = 0
-    reservation_fails: int = 0
-    evictions: int = 0
-    writebacks: int = 0
-    per_warp_hits: dict[int, int] = field(default_factory=dict)
-    per_warp_misses: dict[int, int] = field(default_factory=dict)
 
-    def record(self, wid: int, result: AccessResult) -> None:
+    def record(self, result: AccessResult) -> None:
         """Update counters from one access result."""
-        if result.outcome is AccessOutcome.RESERVATION_FAIL:
-            self.reservation_fails += 1
-            return
-        if result.outcome in (AccessOutcome.HIT, AccessOutcome.HIT_RESERVED):
+        outcome = result.outcome
+        if outcome is AccessOutcome.HIT or outcome is AccessOutcome.HIT_RESERVED:
             self.hits += 1
-            self.per_warp_hits[wid] = self.per_warp_hits.get(wid, 0) + 1
-        else:
+        elif outcome is not AccessOutcome.RESERVATION_FAIL:
             self.misses += 1
-            self.per_warp_misses[wid] = self.per_warp_misses.get(wid, 0) + 1
-        if result.eviction is not None:
-            self.evictions += 1
-        if result.writeback_block is not None:
-            self.writebacks += 1
 
     @property
     def accesses(self) -> int:
@@ -232,7 +219,7 @@ class Cache:
                     line=victim,
                     writeback_block=writeback,
                 )
-        self.stats.record(wid, result)
+        self.stats.record(result)
         return result
 
     def fill(self, block: int, now: int) -> None:

@@ -67,8 +67,6 @@ class DRAMStats:
     """DRAM service statistics."""
 
     requests: int = 0
-    bytes_transferred: int = 0
-    total_queue_delay: int = 0
     busy_cycles: float = 0.0
     #: Requests that queued behind a burst issued by a *different* requester
     #: (SM).  This is the inter-SM DRAM contention signal the lock-step
@@ -132,8 +130,6 @@ class DRAMModel:
         self._channel_free_at[channel] = start + burst
         completion = start + burst + self.config.access_latency
         self.stats.requests += 1
-        self.stats.bytes_transferred += self.config.burst_bytes
-        self.stats.total_queue_delay += int(queue_delay)
         self.stats.busy_cycles += burst
         return int(completion)
 

@@ -35,14 +35,12 @@ class Interconnect:
     def __init__(self, config: InterconnectConfig | None = None) -> None:
         self.config = config or InterconnectConfig()
         self._port_free_at = 0.0
-        self.packets = 0
 
     def inject(self, now: int, size_bytes: int = 128) -> int:
         """Inject one packet at ``now``; returns its arrival time at L2."""
         serialization = size_bytes / self.config.bytes_per_cycle
         start = max(float(now), self._port_free_at)
         self._port_free_at = start + serialization
-        self.packets += 1
         return int(start + serialization + self.config.latency)
 
     def return_latency(self) -> int:

@@ -23,7 +23,7 @@ while remaining a functional model (no data bytes are stored).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.mem.address import BLOCK_SIZE
@@ -120,9 +120,6 @@ class SharedCacheStats:
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
-    per_warp_hits: dict[int, int] = field(default_factory=dict)
-    per_warp_misses: dict[int, int] = field(default_factory=dict)
 
     @property
     def accesses(self) -> int:
@@ -174,7 +171,6 @@ class SharedMemoryCache:
             raise MemoryError(
                 f"cannot reserve {reserve_bytes} bytes of shared memory; only {available} unused"
             )
-        self.reserved_bytes = reserve_bytes
         if reserve_bytes > 0:
             self._smmt_entry = shared_memory.smmt.allocate("ciao", reserve_bytes)
         else:
@@ -229,7 +225,6 @@ class SharedMemoryCache:
             # Degenerate configuration (no unused shared memory): everything
             # is a miss and nothing is retained.
             self.stats.misses += 1
-            self.stats.per_warp_misses[wid] = self.stats.per_warp_misses.get(wid, 0) + 1
             return SharedCacheAccess(hit=False, line_index=-1, block=byte_address // BLOCK_SIZE)
         loc = self.atu.translate(byte_address)
         line = self._lines[loc.line_index]
@@ -237,7 +232,6 @@ class SharedMemoryCache:
         if line.tag == loc.tag:
             line.last_used_at = now
             self.stats.hits += 1
-            self.stats.per_warp_hits[wid] = self.stats.per_warp_hits.get(wid, 0) + 1
             return SharedCacheAccess(
                 hit=True,
                 line_index=loc.line_index,
@@ -246,14 +240,11 @@ class SharedMemoryCache:
             )
         evicted_block = line.tag
         evicted_owner = line.owner_wid
-        if evicted_block is not None:
-            self.stats.evictions += 1
         line.tag = loc.tag
         line.owner_wid = wid
         line.reserved = True
         line.last_used_at = now
         self.stats.misses += 1
-        self.stats.per_warp_misses[wid] = self.stats.per_warp_misses.get(wid, 0) + 1
         return SharedCacheAccess(
             hit=False,
             line_index=loc.line_index,

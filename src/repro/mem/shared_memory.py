@@ -91,8 +91,6 @@ class SharedMemoryManagementTable:
 class SharedMemoryStats:
     """Shared memory access statistics."""
 
-    accesses: int = 0
-    bank_conflict_cycles: int = 0
     rows_touched: set[int] = field(default_factory=set)
 
 
@@ -155,10 +153,7 @@ class SharedMemory:
             bank = (offset // bank_width) % num_banks
             per_bank[bank] = per_bank_get(bank, 0) + 1
         self.stats.rows_touched.update([offset // row_bytes for offset in offsets])
-        cycles = max(per_bank.values())
-        self.stats.accesses += 1
-        self.stats.bank_conflict_cycles += cycles - 1
-        return cycles
+        return max(per_bank.values())
 
     def utilization(self) -> float:
         """Fraction of rows touched at least once (Fig. 8b metric)."""

@@ -22,7 +22,7 @@ half of CCWS's 16.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -50,21 +50,6 @@ class VTAHit:
     evictor_wid: int      # warp whose access evicted it (the interferer)
 
 
-@dataclass
-class VTAStats:
-    """Counters describing VTA behaviour."""
-
-    insertions: int = 0
-    probes: int = 0
-    hits: int = 0
-    per_warp_hits: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def hit_rate(self) -> float:
-        """VTA hits per probe."""
-        return self.hits / self.probes if self.probes else 0.0
-
-
 class VictimTagArray:
     """Per-warp FIFO victim tag sets.
 
@@ -76,7 +61,6 @@ class VictimTagArray:
         self.config = config or VTAConfig()
         self.config.validate()
         self._sets: dict[int, OrderedDict[int, int]] = {}
-        self.stats = VTAStats()
 
     def _set_for(self, wid: int) -> OrderedDict[int, int]:
         return self._sets.setdefault(wid, OrderedDict())
@@ -98,7 +82,6 @@ class VictimTagArray:
         while len(vta_set) >= self.config.entries_per_warp:
             vta_set.popitem(last=False)
         vta_set[block] = evictor_wid
-        self.stats.insertions += 1
 
     def probe(self, wid: int, block: int, *, consume: bool = True) -> Optional[VTAHit]:
         """Probe warp ``wid``'s VTA set for ``block`` on an L1D miss.
@@ -107,15 +90,12 @@ class VictimTagArray:
         consumed (removed) on a hit, so one lost-locality event is counted
         once per re-reference.
         """
-        self.stats.probes += 1
         vta_set = self._sets.get(wid)
         if not vta_set or block not in vta_set:
             return None
         evictor = vta_set[block]
         if consume:
             del vta_set[block]
-        self.stats.hits += 1
-        self.stats.per_warp_hits[wid] = self.stats.per_warp_hits.get(wid, 0) + 1
         return VTAHit(wid=wid, block=block, evictor_wid=evictor)
 
     # ------------------------------------------------------------------

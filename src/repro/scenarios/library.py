@@ -13,8 +13,8 @@ pinned into ``promoted.json`` next to this module (see
 ``repro run --scenario`` accepts them and ``scripts/regen_goldens.py`` pins
 their results bit-for-bit.
 
-This module is the canonical home of the scenario types;
-:mod:`repro.harness.experiments` re-exports them for compatibility.
+The scenario types are defined here and nowhere else; import them from this
+module (or from :mod:`repro.scenarios`).
 """
 
 from __future__ import annotations

@@ -94,7 +94,6 @@ class TestInterferenceList:
         detector.record_vta_hit(1, 5)  # counter = 0
         detector.record_vta_hit(1, 9)  # different: counter already 0 -> replace
         assert detector.most_interfering(1) == 9
-        assert detector.stats.interference_list_replacements == 1
 
     def test_figure_4c_sequence(self, detector):
         """Reproduce the Figure 4c example: W32 interferes with W34."""
@@ -132,7 +131,7 @@ class TestPairListAndLifecycle:
         detector.record_vta_hit(1, 5)
         detector.reset()
         assert detector.vta_hits(1) == 0
-        assert detector.stats.vta_hit_events == 1  # stats survive reset
+        assert detector.most_interfering(1) is None
 
     def test_storage_bits_model(self, detector):
         bits = detector.storage_bits(num_warps=64)

@@ -49,8 +49,7 @@ class TestCIAOOnChipMemory:
         assert memory.restore(warp)
         assert not warp.isolated
         assert memory.redirect_trigger(3) is None
-        assert memory.stats.isolations == 1
-        assert memory.stats.restorations == 1
+        assert not memory.is_isolated(3)
 
     def test_isolate_finished_or_already_isolated(self):
         memory = CIAOOnChipMemory(InterferenceDetector())

@@ -65,6 +65,21 @@ class TestCommands:
         assert schedulers == ["gto", "ciao-c"]  # alias canonicalised
         assert all(row["ipc"] > 0 for row in data["rows"])
 
+    def test_duplicate_schedulers_simulate_once(self, capsys):
+        # Names that canonicalise alike name one scheduler: one job, one row.
+        rc = main(["run", "ATAX", "gto", "GTO", "--scale", "0.03",
+                   "--workers", "1", "--no-cache", "--json"])
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [row["scheduler"] for row in data["rows"]] == ["gto"]
+
+        rc = main(["sweep", "-b", "ATAX", "-s", "gto", "GTO", "ciao_c", "ciao-c",
+                   "--scale", "0.03", "--workers", "1", "--no-cache", "--json"])
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["schedulers"] == ["gto", "ciao-c"]
+        assert data["executed"] == 2
+
     def test_sweep_json(self, capsys):
         rc = main(["sweep", "-b", "ATAX", "SYRK", "-s", "gto", "ciao-c",
                    "--scale", "0.05", "--no-cache", "--json"])

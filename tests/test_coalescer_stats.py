@@ -11,7 +11,6 @@ class TestCoalescer:
         coalescer = Coalescer()
         lanes = [lane * 4 for lane in range(32)]  # all within block 0
         assert coalescer.coalesce(lanes) == [0]
-        assert coalescer.stats.transactions_per_instruction == 1.0
 
     def test_divergent_access(self):
         coalescer = Coalescer()
@@ -29,13 +28,6 @@ class TestCoalescer:
         assert coalescer.coalesce([]) == []
         with pytest.raises(ValueError):
             coalescer.coalesce([-1])
-
-    def test_histogram(self):
-        coalescer = Coalescer()
-        coalescer.coalesce([0, 4])
-        coalescer.coalesce([0, 128])
-        assert coalescer.stats.histogram[1] == 1
-        assert coalescer.stats.histogram[2] == 1
 
     def test_block_to_byte(self):
         assert Coalescer.block_to_byte(3) == 384

@@ -2,16 +2,12 @@
 
 import pytest
 
-from repro.mem.mshr import MSHRFile, MSHRTarget
+from repro.mem.mshr import MSHRFile
 
 
 @pytest.fixture
 def mshr():
     return MSHRFile(num_entries=4, max_merged=2)
-
-
-def target(wid=0, rid=0):
-    return MSHRTarget(wid=wid, request_id=rid)
 
 
 class TestMSHR:
@@ -22,63 +18,53 @@ class TestMSHR:
             MSHRFile(max_merged=0)
 
     def test_allocate_new_entry(self, mshr):
-        entry, is_new = mshr.allocate(100, target(1, 1), now=0)
+        entry, is_new = mshr.allocate(100, 1)
         assert is_new and entry is not None
         assert entry.block == 100
+        assert entry.targets == [1]
         assert mshr.occupancy == 1
-        assert mshr.stats.allocations == 1
 
     def test_merge_same_block(self, mshr):
-        mshr.allocate(100, target(1, 1), now=0)
-        entry, is_new = mshr.allocate(100, target(2, 2), now=1)
+        mshr.allocate(100, 1)
+        entry, is_new = mshr.allocate(100, 2)
         assert not is_new
         assert entry.num_targets == 2
+        assert entry.targets == [1, 2]
         assert mshr.occupancy == 1
-        assert mshr.stats.merges == 1
 
     def test_merge_limit(self, mshr):
-        mshr.allocate(100, target(1, 1), now=0)
-        mshr.allocate(100, target(2, 2), now=1)
-        entry, is_new = mshr.allocate(100, target(3, 3), now=2)
+        mshr.allocate(100, 1)
+        mshr.allocate(100, 2)
+        entry, is_new = mshr.allocate(100, 3)
         assert entry is None and not is_new
-        assert mshr.stats.full_stalls == 1
+        assert mshr.lookup(100).targets == [1, 2]
 
     def test_capacity_limit(self, mshr):
         for block in range(4):
-            mshr.allocate(block, target(0, block), now=0)
-        entry, _ = mshr.allocate(99, target(0, 99), now=1)
+            mshr.allocate(block, 0)
+        entry, _ = mshr.allocate(99, 0)
         assert entry is None
+        assert mshr.occupancy == 4
         assert not mshr.can_allocate(99)
         assert mshr.can_allocate(0)  # existing block still mergeable
 
     def test_fill_releases_entry(self, mshr):
-        mshr.allocate(100, target(1, 1), now=0)
+        mshr.allocate(100, 1)
         entry = mshr.fill(100)
         assert entry is not None
-        assert entry.targets[0].wid == 1
+        assert entry.targets == [1]
         assert mshr.occupancy == 0
         assert mshr.fill(100) is None
 
-    def test_destination_and_shared_slot(self, mshr):
-        entry, _ = mshr.allocate(7, target(0, 0), now=0, destination="shared", shared_slot=12)
-        assert entry.destination == "shared"
-        assert entry.shared_slot == 12
-
     def test_outstanding_for_warp(self, mshr):
-        mshr.allocate(1, target(3, 1), now=0)
-        mshr.allocate(2, target(3, 2), now=0)
-        mshr.allocate(3, target(4, 3), now=0)
+        mshr.allocate(1, 3)
+        mshr.allocate(2, 3)
+        mshr.allocate(3, 4)
         assert mshr.outstanding_for_warp(3) == 2
         assert mshr.outstanding_for_warp(4) == 1
         assert mshr.outstanding_for_warp(9) == 0
 
     def test_outstanding_blocks_order(self, mshr):
-        mshr.allocate(5, target(), now=0)
-        mshr.allocate(6, target(), now=1)
+        mshr.allocate(5, 0)
+        mshr.allocate(6, 0)
         assert mshr.outstanding_blocks() == [5, 6]
-
-    def test_peak_occupancy(self, mshr):
-        for block in range(3):
-            mshr.allocate(block, target(), now=0)
-        mshr.fill(0)
-        assert mshr.stats.peak_occupancy == 3

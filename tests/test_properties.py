@@ -16,7 +16,7 @@ from repro.harness.reporting import geometric_mean
 from repro.mem.address import BLOCK_SIZE, AddressMapping
 from repro.mem.cache import AccessOutcome, Cache, CacheConfig
 from repro.mem.hashing import ipoly_set_index, xor_set_index
-from repro.mem.mshr import MSHRFile, MSHRTarget
+from repro.mem.mshr import MSHRFile
 from repro.mem.victim_tag_array import VTAConfig, VictimTagArray
 from repro.workloads import benchmark_names, get_benchmark
 from repro.workloads.synthetic import SyntheticKernelModel, isolate_address_space
@@ -92,7 +92,7 @@ def test_mshr_occupancy_and_merging_invariants(blocks):
     """MSHR occupancy stays bounded and merged entries keep one per block."""
     mshr = MSHRFile(num_entries=8, max_merged=4)
     for i, block in enumerate(blocks):
-        mshr.allocate(block, MSHRTarget(wid=i % 48, request_id=i), now=i)
+        mshr.allocate(block, i % 48)
         assert mshr.occupancy <= 8
         assert len(set(mshr.outstanding_blocks())) == mshr.occupancy
 

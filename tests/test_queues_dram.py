@@ -1,44 +1,10 @@
-"""Unit tests for the queues, DRAM model, interconnect and memory subsystem."""
+"""Unit tests for the DRAM model, interconnect and memory subsystem."""
 
 import pytest
 
 from repro.mem.dram import DRAMConfig, DRAMModel
 from repro.mem.interconnect import Interconnect, InterconnectConfig, L2Slice
-from repro.mem.queues import DatapathMux, QueueEntry, ResponseQueue, WriteQueue
 from repro.mem.subsystem import MemorySubsystem, MemorySubsystemConfig
-
-
-class TestQueues:
-    def test_push_pop_ready(self):
-        q = ResponseQueue(capacity=2)
-        assert q.push(QueueEntry(block=1, wid=0, ready_at=5))
-        assert q.pop_ready(now=0) is None
-        entry = q.pop_ready(now=5)
-        assert entry is not None and entry.block == 1
-
-    def test_capacity_and_stall_count(self):
-        q = WriteQueue(capacity=1)
-        assert q.push(QueueEntry(block=1, wid=0, ready_at=0))
-        assert not q.push(QueueEntry(block=2, wid=0, ready_at=0))
-        assert q.full_stalls == 1
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            ResponseQueue(capacity=0)
-
-    def test_peek_and_len(self):
-        q = ResponseQueue()
-        q.push(QueueEntry(block=3, wid=1, ready_at=0))
-        assert q.peek().block == 3
-        assert len(q) == 1
-
-    def test_datapath_mux_routing(self):
-        mux = DatapathMux()
-        assert mux.route("shared") == DatapathMux.SHARED
-        assert mux.route("l1d") == DatapathMux.L1D
-        assert mux.routed_to_shared == 1
-        assert mux.routed_to_l1d == 1
-        assert mux.total_routed == 2
 
 
 class TestDRAM:
