@@ -104,11 +104,12 @@ def expect_drained(process: subprocess.Popen, name: str, cause: str) -> None:
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    # The generous linger guarantees the duplicate pair overlaps in flight,
-    # so the second request *must* coalesce rather than racing a cache hit.
+    # Every simulation sleeps first (the chaos engine's "hang" fault, then
+    # an unchanged result), so the duplicate pair overlaps in flight and
+    # the second request *must* coalesce rather than racing a cache hit.
     server, port = boot(
-        env, "serve", "--port", "0", "--no-cache", "--linger", "0.5",
-        "--workers", "1",
+        {**env, "REPRO_CHAOS": "1:1.0:hang"}, "serve", "--port", "0",
+        "--no-cache", "--backend", "chaos", "--workers", "1",
     )
 
     status, _, _ = request(port, "GET", "/healthz")

@@ -778,13 +778,12 @@ def execute(request: AnyRequest):
 def run_batch(requests, *, cache=None, retry=None):
     """Execute ``requests`` through the sweep core and return its outcome.
 
-    The serving layer's batch unit (:class:`repro.serve.queue.BatchQueue`).
-    The batch is planned and settled by the sweep books and run by the
-    in-process attempt loop of :mod:`repro.harness.parallel`, so each
-    request is retried on its own under ``retry`` (one attempt when
-    ``None``) and a failing request never re-runs its neighbours.  Engines
-    that intern per-kernel state (the ``vector`` backend's extracted traces)
-    keep it process-wide, so a batch over one kernel still pays setup once.
+    The serving layer runs each cache miss as a batch of one through it
+    (:class:`repro.serve.server.ReproService`).  The batch is planned and
+    settled by the sweep books and run by the in-process attempt loop of
+    :mod:`repro.harness.parallel`, so each request is retried on its own
+    under ``retry`` (one attempt when ``None``) and a failing request never
+    re-runs its neighbours.
 
     ``cache`` is an optional :class:`repro.harness.cache.ResultCache`: each
     request keeps its own content-addressed key, hits are returned without

@@ -42,8 +42,8 @@ Subcommands
 ``repro serve --host --port --workers``
     Boot the long-lived simulation service (see docs/SERVING.md): accepts
     request wire forms on ``POST /simulate``, serves cache hits instantly,
-    coalesces identical in-flight requests into one simulation, batches
-    the rest into ``run_batch`` on a worker pool, and exposes
+    coalesces identical in-flight requests into one simulation, runs
+    each other miss at once on a worker pool, and exposes
     ``/healthz`` / ``/stats`` / ``/jobs``.  SIGTERM or ``POST /shutdown``
     drains gracefully.
 ``repro worker --host --port``
@@ -967,8 +967,6 @@ def cmd_serve(args) -> int:
         port=args.port,
         cache=_cache_from_args(args),
         workers=args.workers,
-        batch_max=args.batch_max,
-        linger=args.linger,
         backend=backend,
         retry=retry,
         max_queue_depth=args.max_queue_depth,
@@ -985,10 +983,8 @@ def cmd_serve(args) -> int:
     )
     summary = service.drain_summary or {}
     if summary.get("drain_errors"):
-        # Satellite fix: these used to be silently swallowed by
-        # gather(..., return_exceptions=True) during shutdown.
-        print(f"warning: {summary['drain_errors']} worker error(s) during "
-              "drain:", file=sys.stderr)
+        print(f"warning: {summary['drain_errors']} error(s) during drain:",
+              file=sys.stderr)
         for message in summary.get("errors", []):
             print(f"  {message}", file=sys.stderr)
         return 1
@@ -1286,26 +1282,21 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"TCP port (default {DEFAULT_PORT}; 0 picks an "
                               "ephemeral port, announced on stdout)")
     p_serve.add_argument("--workers", type=int, default=2,
-                         help="worker threads draining request batches into "
-                              "run_batch (default 2)")
-    p_serve.add_argument("--batch-max", type=int, default=16,
-                         help="most requests dispatched per batch (default 16)")
-    p_serve.add_argument("--linger", type=float, default=0.05, metavar="SECONDS",
-                         help="window after the first queued miss in which "
-                              "later arrivals join its batch (default 0.05)")
+                         help="worker threads running cache misses, one "
+                              "simulation each (default 2)")
     p_serve.add_argument("--batch-timeout", type=float, default=None,
                          metavar="SECONDS",
-                         help="per-batch deadline: a batch running longer "
-                              "fails its jobs with BatchTimeoutError and its "
-                              "worker thread is abandoned (default: none)")
+                         help="per-miss deadline: a miss running longer "
+                              "fails with BatchTimeoutError and its worker "
+                              "thread is abandoned (default: none)")
     p_serve.add_argument("--retry-max", type=int, default=1, metavar="N",
                          help="attempts per request, with seeded backoff "
                               "between them (default 1 = no retry)")
     p_serve.add_argument("--max-queue-depth", type=int, default=None,
                          metavar="N",
-                         help="load-shedding threshold: new leader requests "
-                              "get 503 + Retry-After while the dispatch "
-                              "queue is this deep (default: never shed)")
+                         help="load-shedding threshold: a new distinct miss "
+                              "gets 503 + Retry-After while this many are in "
+                              "flight (default: never shed)")
     p_serve.set_defaults(func=cmd_serve)
 
     p_worker = sub.add_parser(

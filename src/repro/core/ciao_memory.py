@@ -16,8 +16,6 @@ throttling policy.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.interference import InterferenceDetector
 from repro.gpu.warp import Warp
 
@@ -27,16 +25,11 @@ class CIAOOnChipMemory:
 
     def __init__(self, detector: InterferenceDetector) -> None:
         self.detector = detector
-        self._isolated_wids: set[int] = set()
 
     # ------------------------------------------------------------------
     def available(self, sm) -> bool:
         """True when the SM actually has a usable shared-memory cache."""
         return sm is not None and sm.shared_cache is not None and sm.shared_cache.num_lines > 0
-
-    def is_isolated(self, wid: int) -> bool:
-        """True when warp ``wid`` currently has its requests redirected."""
-        return wid in self._isolated_wids
 
     # ------------------------------------------------------------------
     def isolate(self, warp: Warp, triggered_by_wid: int, sm=None) -> bool:
@@ -52,7 +45,6 @@ class CIAOOnChipMemory:
         if sm is not None and not self.available(sm):
             return False
         warp.isolated = True
-        self._isolated_wids.add(warp.wid)
         entry = self.detector.pair_entry(warp.wid)
         entry.redirect_trigger = triggered_by_wid
         return True
@@ -62,19 +54,6 @@ class CIAOOnChipMemory:
         if not warp.isolated:
             return False
         warp.isolated = False
-        self._isolated_wids.discard(warp.wid)
         entry = self.detector.pair_entry(warp.wid)
         entry.redirect_trigger = -1
         return True
-
-    def forget_warp(self, warp: Warp) -> None:
-        """Clean up when a warp retires."""
-        self._isolated_wids.discard(warp.wid)
-
-    # ------------------------------------------------------------------
-    def redirect_trigger(self, wid: int) -> Optional[int]:
-        """The interfered warp that caused ``wid``'s redirection (or None)."""
-        entry = self.detector.pair_list.get(wid)
-        if entry is None or entry.redirect_trigger < 0:
-            return None
-        return entry.redirect_trigger

@@ -225,7 +225,6 @@ class CIAOScheduler(WarpScheduler):
         """Clean up detector state for the retired warp's slot."""
         if self._last_wid == warp.wid:
             self._last_wid = None
-        self.memory_arch.forget_warp(warp)
         self.detector.forget_warp(warp.wid)
         # A retired warp may have been the trigger keeping others stalled.
         if self.sm is not None:
@@ -243,14 +242,3 @@ class CIAOScheduler(WarpScheduler):
                 self.sm.stats.reactivate_events += 1
                 return True
         return False
-
-    # ------------------------------------------------------------------
-    def stalled_warp_count(self) -> int:
-        """Number of warps currently stalled by CIAO."""
-        if self.sm is None:
-            return 0
-        return sum(
-            1
-            for w in self._resident_warps()
-            if not w.active and self.detector.pair_entry(w.wid).stall_trigger >= 0
-        )

@@ -155,13 +155,6 @@ class InterferenceDetector:
             return 0.0
         return self.recent_vta_hits(wid) / per_warp_instructions
 
-    def cumulative_irs(self, wid: int, total_instructions: int, active_warps: int) -> float:
-        """IRS evaluated over the whole execution (for reporting/analysis)."""
-        if total_instructions <= 0 or active_warps <= 0:
-            return 0.0
-        per_warp_instructions = total_instructions / active_warps
-        return self.vta_hits(wid) / per_warp_instructions if per_warp_instructions else 0.0
-
     def most_interfering(self, wid: int) -> Optional[int]:
         """WID of the warp currently blamed for interfering with ``wid``."""
         entry = self.interference_list.get(wid)
@@ -172,17 +165,6 @@ class InterferenceDetector:
     def pair_entry(self, wid: int) -> PairListEntry:
         """Pair-list entry for (interfering) warp ``wid``, created on demand."""
         return self.pair_list.setdefault(wid, PairListEntry())
-
-    # ------------------------------------------------------------------
-    # Threshold helpers
-    # ------------------------------------------------------------------
-    def exceeds_high_cutoff(self, wid: int, total_instructions: int, active_warps: int) -> bool:
-        """True when warp ``wid`` is severely interfered (IRS > high-cutoff)."""
-        return self.irs(wid, total_instructions, active_warps) > self.params.high_cutoff
-
-    def below_low_cutoff(self, wid: int, total_instructions: int, active_warps: int) -> bool:
-        """True when warp ``wid``'s interference has subsided (IRS <= low-cutoff)."""
-        return self.irs(wid, total_instructions, active_warps) <= self.params.low_cutoff
 
     # ------------------------------------------------------------------
     def reset(self) -> None:

@@ -97,11 +97,6 @@ class GPUConfig:
         """GTO-8way variant of Fig. 12a: 8-way 16 KB L1D."""
         return cls(num_sms=num_sms, l1d=CacheConfig.l1d_gtx480(associativity=8))
 
-    @classmethod
-    def gtx480_2x_dram(cls, *, num_sms: int = 1) -> "GPUConfig":
-        """Doubled DRAM bandwidth variant of Fig. 12b."""
-        return cls(num_sms=num_sms, dram=DRAMConfig.gtx480_2x())
-
     def with_overrides(self, **kwargs: object) -> "GPUConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)

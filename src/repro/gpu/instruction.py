@@ -128,32 +128,6 @@ class Instruction:
         """Warp termination."""
         return _EXIT_SINGLETON
 
-    # -- classification -------------------------------------------------------
-    @property
-    def is_global_memory(self) -> bool:
-        """True for global LOAD / STORE."""
-        return self.kind in GLOBAL_MEMORY_KINDS
-
-    @property
-    def is_shared_memory(self) -> bool:
-        """True for scratchpad accesses."""
-        return self.kind in SHARED_MEMORY_KINDS
-
-    @property
-    def is_memory(self) -> bool:
-        """True for any memory access."""
-        return self.is_global_memory or self.is_shared_memory
-
-    @property
-    def is_load(self) -> bool:
-        """True for global or shared loads."""
-        return self.kind in (InstructionKind.LOAD, InstructionKind.SHARED_LOAD)
-
-    @property
-    def is_store(self) -> bool:
-        """True for global or shared stores."""
-        return self.kind in (InstructionKind.STORE, InstructionKind.SHARED_STORE)
-
 
 #: Interned address-free instructions (see the constructor notes above).
 _ALU_CACHE: dict[int, Instruction] = {}

@@ -715,15 +715,6 @@ class StreamingMultiprocessor:
                     warp.ready_at = now + 1
                 self._reindex_warp(warp)
 
-    def _warp_by_id(self, wid: int) -> Optional[Warp]:
-        """Resident warp with id ``wid`` (single dict lookup).
-
-        Warp ids are unique among resident warps (a freed slot is only
-        reassigned after the retiring CTA's warps left ``self.warps``), so a
-        fill targeting a retired-and-reused slot resolves to the live warp.
-        """
-        return self._warps_by_wid.get(wid)
-
     def _notify_access(self, warp: Warp, *, hit: bool, vta_hit: Optional[VTAHit], destination: str, now: int) -> None:
         notify = self._hooks.notify_global_access
         if notify is not None:
@@ -768,6 +759,6 @@ class StreamingMultiprocessor:
         self.stats.l2_hit_rate = self.memory.l2_hit_rate
         self.stats.dram_requests = self.memory.l2.dram.stats.requests
     # NOTE: the historical per-issue-slot full scans (`_issuable_warps` over
-    # every resident warp, `_warp_by_id` linear search, O(n) slot pops) were
+    # every resident warp, a linear search for a warp id, O(n) slot pops) were
     # replaced by the incremental structures above; tests/goldens pins the
     # refactor to bit-identical simulation output.

@@ -221,7 +221,7 @@ def active_plan() -> Optional[FaultPlan]:
 def set_current_attempt(attempt: int) -> None:
     """Record the execution attempt number for this thread's next job.
 
-    The sweep engine's executors (the serve dispatcher's included) call
+    The sweep engine's executors (``repro serve``'s misses included) call
     this before each dispatch so the chaos schedule advances with retries —
     without it every retry would replay attempt 1's fault forever.
     """

@@ -117,7 +117,7 @@ class SweepError(RuntimeError):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Retry / timeout / straggler policy of one sweep (or serve queue).
+    """Retry / timeout / straggler policy of one sweep (or ``repro serve``).
 
     Backoff before retry ``n`` (1-based) is ``backoff_base *
     backoff_factor**(n-1)`` scaled by a deterministic seeded jitter in
@@ -603,7 +603,7 @@ class _Sweep:
 def _run_inprocess(books: _Sweep, policy: RetryPolicy, attempts_allowed: int) -> None:
     """The in-process (workers == 1) executor: one attempt loop per job.
 
-    The serve dispatcher's batches run here too (:func:`repro.api.run_batch`).
+    ``repro serve``'s misses run here too (:func:`repro.api.run_batch`).
     Timeouts and straggler duplicates need a pool — a job running in this
     very process cannot be interrupted — so only the retry/backoff half of
     the policy applies here (documented in docs/RESILIENCE.md).

@@ -18,19 +18,6 @@ from typing import Callable
 #: Cache line / memory transaction size in bytes (Table I: 128 B lines).
 BLOCK_SIZE: int = 128
 
-#: log2 of :data:`BLOCK_SIZE`.
-BLOCK_SHIFT: int = 7
-
-
-def block_address(byte_address: int) -> int:
-    """Return the 128-byte block number containing ``byte_address``."""
-    return byte_address >> BLOCK_SHIFT
-
-
-def block_base(byte_address: int) -> int:
-    """Return the byte address of the first byte of the containing block."""
-    return (byte_address >> BLOCK_SHIFT) << BLOCK_SHIFT
-
 
 def is_power_of_two(value: int) -> bool:
     """Return True when ``value`` is a positive power of two."""

@@ -237,14 +237,6 @@ class Cache:
         line = self.tags.probe(set_index, tag)
         return line is not None and not line.reserved
 
-    def probe_owner(self, byte_address: int) -> Optional[int]:
-        """Return the warp id that owns the block, or None when absent."""
-        tag, set_index, _ = self.mapping.decompose(byte_address)
-        line = self.tags.probe(set_index, tag)
-        if line is None:
-            return None
-        return line.owner_wid
-
     def invalidate(self, byte_address: int) -> bool:
         """Invalidate the block holding ``byte_address`` (CIAO data migration)."""
         tag, set_index, _ = self.mapping.decompose(byte_address)

@@ -56,11 +56,6 @@ class DRAMConfig:
         """Baseline GTX 480-like DRAM (177 GB/s class)."""
         return cls()
 
-    @classmethod
-    def gtx480_2x(cls) -> "DRAMConfig":
-        """Doubled-bandwidth DRAM (Fig. 12b, 340 GB/s class)."""
-        return cls().scaled_bandwidth(2.0)
-
 
 @dataclass
 class DRAMStats:
@@ -140,7 +135,3 @@ class DRAMModel:
             return 0.0
         total_capacity = elapsed_cycles * self.config.num_channels
         return min(1.0, self.stats.busy_cycles / total_capacity)
-
-    def pending_backlog(self, now: int) -> float:
-        """Cycles until the most-backlogged channel is free (congestion signal)."""
-        return max(0.0, max(self._channel_free_at) - now)

@@ -51,13 +51,6 @@ class MSHRFile:
         """Return the outstanding entry for ``block`` if any."""
         return self._entries.get(block)
 
-    def can_allocate(self, block: int) -> bool:
-        """True when a new request for ``block`` can be accepted right now."""
-        entry = self._entries.get(block)
-        if entry is not None:
-            return entry.num_targets < self.max_merged
-        return len(self._entries) < self.num_entries
-
     def allocate(self, block: int, wid: int) -> tuple[Optional[MSHREntry], bool]:
         """Allocate or merge warp ``wid``'s request for ``block``.
 
@@ -90,7 +83,3 @@ class MSHRFile:
     def outstanding_blocks(self) -> list[int]:
         """Blocks currently being fetched (ordered by allocation)."""
         return list(self._entries.keys())
-
-    def outstanding_for_warp(self, wid: int) -> int:
-        """Number of outstanding entries that have ``wid`` among their targets."""
-        return sum(1 for entry in self._entries.values() if wid in entry.targets)

@@ -206,12 +206,6 @@ class SharedMemoryCache:
         """Data capacity in bytes (excludes tag rows)."""
         return self.num_lines * BLOCK_SIZE
 
-    def release(self) -> None:
-        """Return the reserved space to the SMMT (end of kernel / disable)."""
-        if self._smmt_entry is not None:
-            self.shared_memory.smmt.free("ciao")
-            self._smmt_entry = None
-
     # ------------------------------------------------------------------
     def access(self, byte_address: int, wid: int, *, is_write: bool, now: int) -> SharedCacheAccess:
         """Access the shared-memory cache for warp ``wid``.

@@ -64,10 +64,6 @@ class StatPCALScheduler(WarpScheduler):
         resident.sort(key=lambda w: (w.assigned_at, w.wid))
         self._token_wids = {w.wid for w in resident[: self.token_count]}
 
-    def holds_token(self, wid: int) -> bool:
-        """True when warp ``wid`` currently holds an L1D allocation token."""
-        return wid in self._token_wids
-
     # ------------------------------------------------------------------
     # Note: select() prefers token holders over the last-issued warp, so it
     # is *not* greedy-sticky and the vector engine runs statPCAL through the

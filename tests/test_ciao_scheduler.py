@@ -44,12 +44,10 @@ class TestCIAOOnChipMemory:
         warp = make_warp(3)
         assert memory.isolate(warp, triggered_by_wid=7)
         assert warp.isolated
-        assert memory.is_isolated(3)
-        assert memory.redirect_trigger(3) == 7
+        assert detector.pair_entry(3).redirect_trigger == 7
         assert memory.restore(warp)
         assert not warp.isolated
-        assert memory.redirect_trigger(3) is None
-        assert not memory.is_isolated(3)
+        assert detector.pair_entry(3).redirect_trigger == -1
 
     def test_isolate_finished_or_already_isolated(self):
         memory = CIAOOnChipMemory(InterferenceDetector())
@@ -95,7 +93,11 @@ class TestAlgorithmOne:
         sched._high_epoch_check()
         assert not aggressor.active
         assert sched.detector.pair_entry(aggressor.wid).stall_trigger == victim.wid
-        assert sched.stalled_warp_count() == 1
+        stalled = [
+            w for w in (victim, aggressor)
+            if not w.active and sched.detector.pair_entry(w.wid).stall_trigger >= 0
+        ]
+        assert stalled == [aggressor]
 
     def test_partition_only_never_stalls(self):
         victim, aggressor = make_warp(0), make_warp(1)

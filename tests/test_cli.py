@@ -246,8 +246,6 @@ class TestCacheStats:
 #: Usage errors, each reported by ``main()`` as one ``error:`` line, exit 2.
 BAD_KNOBS = [
     ["serve", "--workers", "0"],
-    ["serve", "--batch-max", "0"],
-    ["serve", "--linger", "-1"],
     ["serve", "--backend", "not-a-backend"],
     ["serve", "--retry-max", "0"],
     ["serve", "--batch-timeout", "0"],

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.api import RunConfig, SimulationRequest
+from repro.backends import materialize
 from repro.gpu.config import GPUConfig
 from repro.mem.dram import DRAMConfig
 
@@ -39,9 +41,15 @@ class TestGPUConfig:
         assert config.l1d.size_bytes == 16 * 1024
 
     def test_fig12b_2x_dram_variant(self):
-        config = GPUConfig.gtx480_2x_dram()
-        assert config.dram.bytes_per_cycle == pytest.approx(
-            2 * DRAMConfig.gtx480().bytes_per_cycle
+        """Figure 12b's run configuration doubles the machine's DRAM bandwidth."""
+
+        def dram_bytes_per_cycle(**overrides) -> float:
+            request = SimulationRequest("ATAX", "gto", RunConfig(scale=0.02, **overrides))
+            _, _, gpu, _ = materialize(request)
+            return gpu.memory.l2.dram.config.bytes_per_cycle
+
+        assert dram_bytes_per_cycle(dram_bandwidth_scale=2.0) == pytest.approx(
+            2 * dram_bytes_per_cycle()
         )
 
     def test_with_overrides(self):

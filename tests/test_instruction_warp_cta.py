@@ -3,7 +3,12 @@
 import pytest
 
 from repro.gpu.cta import CTA, KernelLaunch
-from repro.gpu.instruction import Instruction, InstructionKind
+from repro.gpu.instruction import (
+    GLOBAL_MEMORY_KINDS,
+    SHARED_MEMORY_KINDS,
+    Instruction,
+    InstructionKind,
+)
 from repro.gpu.warp import Warp, WarpState
 
 
@@ -14,9 +19,9 @@ def make_warp(instructions, wid=0, cta_id=0, **kwargs):
 class TestInstruction:
     def test_constructors(self):
         assert Instruction.alu().kind is InstructionKind.ALU
-        assert Instruction.load([0]).is_load
-        assert Instruction.store([0]).is_store
-        assert Instruction.shared_load([0]).is_shared_memory
+        assert Instruction.load([0]).kind is InstructionKind.LOAD
+        assert Instruction.store([0]).kind is InstructionKind.STORE
+        assert Instruction.shared_load([0]).kind is InstructionKind.SHARED_LOAD
         assert Instruction.barrier().kind is InstructionKind.BARRIER
         assert Instruction.exit().kind is InstructionKind.EXIT
 
@@ -32,9 +37,9 @@ class TestInstruction:
 
     def test_classification(self):
         load = Instruction.load([1, 2])
-        assert load.is_global_memory and load.is_memory and not load.is_shared_memory
+        assert load.kind in GLOBAL_MEMORY_KINDS and load.kind not in SHARED_MEMORY_KINDS
         sld = Instruction.shared_load([0])
-        assert sld.is_memory and not sld.is_global_memory
+        assert sld.kind in SHARED_MEMORY_KINDS and sld.kind not in GLOBAL_MEMORY_KINDS
 
 
 class TestWarp:

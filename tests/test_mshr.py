@@ -45,8 +45,9 @@ class TestMSHR:
         entry, _ = mshr.allocate(99, 0)
         assert entry is None
         assert mshr.occupancy == 4
-        assert not mshr.can_allocate(99)
-        assert mshr.can_allocate(0)  # existing block still mergeable
+        entry, is_new = mshr.allocate(0, 1)  # existing block still mergeable
+        assert entry is not None and not is_new
+        assert mshr.occupancy == 4
 
     def test_fill_releases_entry(self, mshr):
         mshr.allocate(100, 1)
@@ -60,9 +61,13 @@ class TestMSHR:
         mshr.allocate(1, 3)
         mshr.allocate(2, 3)
         mshr.allocate(3, 4)
-        assert mshr.outstanding_for_warp(3) == 2
-        assert mshr.outstanding_for_warp(4) == 1
-        assert mshr.outstanding_for_warp(9) == 0
+
+        def outstanding_for(wid):
+            return sum(wid in mshr.lookup(b).targets for b in mshr.outstanding_blocks())
+
+        assert outstanding_for(3) == 2
+        assert outstanding_for(4) == 1
+        assert outstanding_for(9) == 0
 
     def test_outstanding_blocks_order(self, mshr):
         mshr.allocate(5, 0)

@@ -10,7 +10,13 @@ from strategies import multi_tenant_requests
 from repro.core.config import CIAOParameters
 from repro.core.interference import InterferenceDetector
 from repro.gpu.coalescer import Coalescer
-from repro.gpu.instruction import KIND_CODE, WARP_LANES, InstructionKind
+from repro.gpu.instruction import (
+    GLOBAL_MEMORY_KINDS,
+    KIND_CODE,
+    SHARED_MEMORY_KINDS,
+    WARP_LANES,
+    InstructionKind,
+)
 from repro.gpu.vector.trace import KernelTrace
 from repro.harness.reporting import geometric_mean
 from repro.mem.address import BLOCK_SIZE, AddressMapping
@@ -241,12 +247,12 @@ def test_packed_trace_matches_reference_coalescer(name, scale, seed, colour, cta
     coalescer = Coalescer()
     access_index, mem_starts, mem_flat, shared_offsets = [], [0], [], []
     for instruction in instructions:
-        if instruction.is_global_memory:
+        if instruction.kind in GLOBAL_MEMORY_KINDS:
             assert len(instruction.addresses) == WARP_LANES
             access_index.append(len(mem_starts) - 1)
             mem_flat.extend(coalescer.coalesce(instruction.addresses))
             mem_starts.append(len(mem_flat))
-        elif instruction.is_shared_memory:
+        elif instruction.kind in SHARED_MEMORY_KINDS:
             access_index.append(len(shared_offsets) // WARP_LANES)
             shared_offsets.extend(instruction.addresses)
         else:

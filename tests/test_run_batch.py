@@ -22,7 +22,6 @@ from strategies import (
 
 import repro.api
 from repro.api import (
-    JobRecord,
     RunConfig,
     SimulationRequest,
     execute,
@@ -31,7 +30,7 @@ from repro.api import (
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import JobFailure, RetryPolicy, run_jobs
 from repro.harness.runner import run_benchmark
-from repro.serve import BatchQueue, QueuedJob
+from repro.serve import ReproService
 
 requests_strategy = st.lists(simulation_requests(), min_size=1, max_size=4)
 
@@ -127,11 +126,27 @@ def test_run_batch_retries_each_request_on_its_own():
     assert outcome.stats.retried == 2
 
 
-def queued(request: SimulationRequest) -> QueuedJob:
-    key = request.cache_key()
-    return QueuedJob(request, key, JobRecord.for_request(
-        request, job_id=f"j-{request.benchmark_name}", cache_key=key,
-    ))
+def serve_concurrently(service: ReproService, requests):
+    """Submit ``requests`` to ``service`` at once, then drain it.
+
+    Returns each submission's outcome (``(result, source, record)`` or the
+    exception it raised) and the drain summary.
+    """
+
+    async def scenario():
+        await service.start()
+        outcomes = await asyncio.wait_for(
+            asyncio.gather(
+                *(service.submit(request) for request in requests),
+                return_exceptions=True,
+            ),
+            timeout=120,
+        )
+        service.begin_shutdown()
+        await service.wait_closed()
+        return outcomes
+
+    return asyncio.run(scenario()), service.drain_summary
 
 
 @pytest.mark.parametrize(
@@ -140,8 +155,8 @@ def queued(request: SimulationRequest) -> QueuedJob:
     ids=["no-policy", "retry-3"],
 )
 def test_failing_request_never_reruns_its_neighbours(monkeypatch, retry):
-    """One bad request in a served batch costs only its own attempts: each
-    good neighbour executes once, the bad one ``max_attempts`` times."""
+    """One bad request among served misses costs only its own attempts:
+    each good neighbour executes once, the bad one ``max_attempts`` times."""
     executed = Counter()
     real_execute = repro.api.execute
 
@@ -158,23 +173,18 @@ def test_failing_request_never_reruns_its_neighbours(monkeypatch, retry):
         SimulationRequest("MVT", "gto", RunConfig(scale=0.02, seed=1, num_ctas=0)),
         SimulationRequest("BICG", "gto", config),
     ]
-    errors = {}
-
-    async def scenario():
-        queue = BatchQueue(
-            workers=1, linger=0.0, retry=retry,
-            on_job_done=lambda job, result, error:
-                errors.__setitem__(job.request.benchmark_name, error),
-        )
-        queue.start()
-        for request in requests:  # all queued before the dispatcher runs
-            queue.put(queued(request))
-        return await queue.drain()
-
-    assert asyncio.run(scenario())["drain_errors"] == 0
+    outcomes, summary = serve_concurrently(
+        ReproService(port=0, workers=1, retry=retry), requests
+    )
+    assert summary["drain_errors"] == 0
     max_attempts = retry.max_attempts if retry is not None else 1
     assert executed == {"ATAX": 1, "SYRK": 1, "MVT": max_attempts, "BICG": 1}
-    assert [name for name, error in errors.items() if error] == ["MVT"]
+    errors = {
+        request.benchmark_name: outcome
+        for request, outcome in zip(requests, outcomes)
+        if isinstance(outcome, BaseException)
+    }
+    assert list(errors) == ["MVT"]
     message = str(errors["MVT"])
     assert requests[2].cache_key() in message
     assert "benchmark='MVT'" in message and "scheduler='gto'" in message
@@ -183,27 +193,21 @@ def test_failing_request_never_reruns_its_neighbours(monkeypatch, retry):
 
 def test_batch_level_error_fails_every_job_of_the_batch(monkeypatch):
     """An error raised by ``run_batch`` itself (not by one job, say a cache
-    write) fails each waiter of the batch instead of leaving it hanging."""
+    write) fails every waiter of that miss instead of leaving it hanging."""
 
     def broken(requests, **kwargs):
         raise OSError("cache volume is read-only")
 
-    monkeypatch.setattr("repro.serve.queue.run_batch", broken)
-    errors = []
-
-    async def scenario():
-        queue = BatchQueue(
-            workers=1, linger=0.0,
-            on_job_done=lambda job, result, error: errors.append((result, error)),
-        )
-        queue.start()
-        for bench in ("ATAX", "SYRK"):
-            queue.put(queued(SimulationRequest(bench, "gto", RunConfig(scale=0.02))))
-        return await queue.drain()
-
-    assert asyncio.run(scenario())["drain_errors"] == 0
-    assert len(errors) == 2
-    assert all(result is None and isinstance(error, OSError) for result, error in errors)
+    monkeypatch.setattr("repro.serve.server.run_batch", broken)
+    atax = SimulationRequest("ATAX", "gto", RunConfig(scale=0.02))
+    requests = [atax, atax, SimulationRequest("SYRK", "gto", RunConfig(scale=0.02))]
+    service = ReproService(port=0, workers=1)
+    outcomes, summary = serve_concurrently(service, requests)
+    assert summary["drain_errors"] == 0
+    # The second ATAX waited on the first one's miss and fails with it.
+    assert service.stats.batches == 2
+    assert all(isinstance(outcome, OSError) for outcome in outcomes)
+    assert service.stats.failed == 3 and service.stats.reconciles()
 
 
 def test_run_jobs_in_process_path_uses_batch_semantics():

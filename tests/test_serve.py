@@ -14,6 +14,7 @@ import asyncio
 import http.client
 import json
 import threading
+import time
 
 import pytest
 
@@ -31,15 +32,28 @@ from repro.harness.cache import ResultCache
 from repro.harness.faults import FaultPlan, configure_chaos
 from repro.harness.parallel import RetryPolicy
 from repro.serve import (
-    BatchQueue,
+    BatchTimeoutError,
     Coalescer,
-    QueuedJob,
     ReproService,
     ServiceStats,
     canonical_json,
 )
 
 SMALL = RunConfig(scale=0.02, seed=1)
+
+
+@pytest.fixture
+def hanging_chaos():
+    """Make every ``chaos``-backend simulation sleep first; the sleep holds
+    a leader in flight for as long as a test needs it."""
+
+    def configure(seconds: float) -> None:
+        configure_chaos(
+            FaultPlan(seed=1, rate=1.0, kinds=("hang",), hang_seconds=seconds)
+        )
+
+    yield configure
+    configure_chaos(None)
 
 
 def direct_bytes(request) -> bytes:
@@ -89,6 +103,16 @@ class ServiceHandle:
         status, _, body = self.request("GET", "/stats")
         assert status == 200
         return json.loads(body)
+
+    def wait_running(self, *, timeout: float = 10.0) -> None:
+        """Block until the first job this service admitted is RUNNING."""
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            records = list(self.service.jobs.values())
+            if records and records[0].state is JobState.RUNNING:
+                return
+            time.sleep(0.005)
+        raise AssertionError("no admitted job started running")
 
     def shutdown(self, *, timeout: float = 60.0) -> None:
         if self._thread.is_alive():
@@ -146,12 +170,15 @@ class TestServiceEndToEnd:
         stats = handle.stats()
         assert stats["hits"] == 1 and stats["executed"] == 1
 
-    def test_acceptance_n_identical_plus_m_distinct(self, service_factory, tmp_path):
+    def test_acceptance_n_identical_plus_m_distinct(
+        self, service_factory, tmp_path, hanging_chaos
+    ):
         """N identical + M distinct concurrent requests -> M simulations."""
         cache = ResultCache(tmp_path / "cache")
-        # The generous linger holds the first batch open long enough that
-        # every identical arrival overlaps the in-flight leader.
-        handle = service_factory(cache=cache, linger=0.25, workers=2)
+        # Each simulation sleeps first, so the identical arrivals overlap
+        # their in-flight leader.
+        hanging_chaos(1.0)
+        handle = service_factory(cache=cache, backend="chaos", workers=2)
         identical = SimulationRequest("ATAX", "gto", SMALL)
         distinct = [
             identical,  # the leader of the identical group
@@ -184,6 +211,7 @@ class TestServiceEndToEnd:
         stats = handle.stats()
         assert stats["executed"] == m_distinct
         assert stats["coalesced"] + stats["hits"] == n_identical - 1
+        assert stats["coalesced"] >= 1
         assert stats["requests"] == len(requests)
         # The books reconcile: every request answered exactly one way.
         assert stats["hits"] + stats["coalesced"] + stats["executed"] \
@@ -257,8 +285,11 @@ class TestServiceEndToEnd:
         assert any(j["data"]["fields"]["job_id"] == job_id for j in listed)
         assert handle.request("GET", "/jobs/unknown-id")[0] == 404
 
-    def test_graceful_drain_finishes_inflight_work(self, service_factory):
-        handle = service_factory(linger=0.3)
+    def test_graceful_drain_finishes_inflight_work(
+        self, service_factory, hanging_chaos
+    ):
+        hanging_chaos(0.5)
+        handle = service_factory(backend="chaos")
         request = SimulationRequest("ATAX", "gto", SMALL)
         outcome = []
 
@@ -267,10 +298,8 @@ class TestServiceEndToEnd:
 
         thread = threading.Thread(target=submit)
         thread.start()
-        # Let the request land in the (lingering) queue, then drain.
-        import time
-
-        time.sleep(0.1)
+        # Shut down while the miss runs: drain must let it finish.
+        handle.wait_running()
         handle.shutdown()
         thread.join(timeout=300)
         assert outcome and outcome[0][0] == 200
@@ -278,6 +307,29 @@ class TestServiceEndToEnd:
         # The listener is closed: new connections are refused.
         with pytest.raises(OSError):
             handle.request("GET", "/healthz")
+
+    def test_leader_starts_running_at_once(self, hanging_chaos):
+        """An admitted miss starts running within a few loop turns."""
+        hanging_chaos(0.2)
+
+        async def scenario():
+            service = ReproService(port=0, workers=1, backend="chaos")
+            await service.start()
+            pending = asyncio.ensure_future(
+                service.submit(SimulationRequest("ATAX", "gto", SMALL))
+            )
+            for _ in range(3):
+                await asyncio.sleep(0)
+            (record,) = service.jobs.values()
+            state = record.state
+            _, source, _ = await asyncio.wait_for(pending, timeout=60)
+            service.begin_shutdown()
+            await service.wait_closed()
+            return state, source
+
+        state, source = asyncio.run(scenario())
+        assert state is JobState.RUNNING
+        assert source == "executed"
 
     def test_simulation_failure_reported_and_reconciled(self, service_factory):
         handle = service_factory()
@@ -299,68 +351,81 @@ class TestResilienceEndToEnd:
     """Acceptance: an injected batch timeout and a shed request, with the
     /stats books still reconciling exactly."""
 
-    def test_timeout_and_shed_reconcile(self, service_factory):
-        import time
-
-        # Every simulation on this service hangs far past the batch
-        # deadline, so the first dispatched batch is guaranteed to time out.
-        configure_chaos(
-            FaultPlan(seed=1, rate=1.0, kinds=("hang",), hang_seconds=30.0)
+    def test_timeout_and_shed_reconcile(self, service_factory, hanging_chaos):
+        # Every simulation on this service hangs far past the per-miss
+        # deadline, so the first miss is guaranteed to time out.
+        hanging_chaos(30.0)
+        handle = service_factory(
+            backend="chaos",
+            workers=1,
+            retry=RetryPolicy(max_attempts=1, timeout_seconds=1.0),
+            max_queue_depth=1,
         )
-        try:
-            handle = service_factory(
-                backend="chaos",
-                linger=0.5,
-                workers=1,
-                retry=RetryPolicy(max_attempts=1, timeout_seconds=0.3),
-                max_queue_depth=1,
-            )
-            slow = SimulationRequest("ATAX", "gto", SMALL)
-            outcomes = []
+        slow = SimulationRequest("ATAX", "gto", SMALL)
+        outcomes = []
 
-            def submit() -> None:
-                outcomes.append(handle.simulate(slow))
+        def submit() -> None:
+            outcomes.append(handle.simulate(slow))
 
-            thread = threading.Thread(target=submit)
-            thread.start()
-            # Wait for the slow request to park in the lingering queue ...
-            deadline = time.time() + 10
-            while handle.service.queue.depth == 0 and time.time() < deadline:
-                time.sleep(0.01)
-            assert handle.service.queue.depth == 1
-            # ... so a distinct arrival finds the queue at capacity and is
-            # shed with 503 + Retry-After instead of piling up.
-            status, headers, body = handle.simulate(
-                SimulationRequest("SYRK", "gto", SMALL)
-            )
-            assert status == 503
-            assert int(headers["retry-after"]) >= 1
-            assert "at its limit" in json.loads(body)["error"]
+        thread = threading.Thread(target=submit)
+        thread.start()
+        # Wait for the slow request to run ...
+        handle.wait_running()
+        assert len(handle.service.coalescer) == 1
+        # ... so a distinct arrival finds the in-flight limit reached and is
+        # shed with 503 + Retry-After instead of piling up.
+        status, headers, body = handle.simulate(
+            SimulationRequest("SYRK", "gto", SMALL)
+        )
+        assert status == 503
+        assert int(headers["retry-after"]) >= 1
+        assert "at its limit" in json.loads(body)["error"]
 
-            # The parked request eventually dispatches, hangs, and fails
-            # against the 0.3s per-batch deadline.
-            thread.join(timeout=60)
-            assert outcomes and outcomes[0][0] == 500
-            assert "deadline" in json.loads(outcomes[0][2])["error"]
+        # The running request hangs and fails against its 1s deadline.
+        thread.join(timeout=60)
+        assert outcomes and outcomes[0][0] == 500
+        assert "deadline" in json.loads(outcomes[0][2])["error"]
 
-            stats = handle.stats()
-            assert stats["requests"] == 2
-            assert stats["shed"] == 1
-            assert stats["failed"] == 1
-            assert stats["timed_out"] == 1
-            assert stats["executed"] == 0
-            # Extended invariant:
-            # hits + coalesced + executed + failed + shed == requests.
-            assert stats["hits"] + stats["coalesced"] + stats["executed"] \
-                + stats["failed"] + stats["shed"] == stats["requests"]
-            assert stats["reconciles"] is True
-            handle.shutdown()
-        finally:
-            configure_chaos(None)
+        stats = handle.stats()
+        assert stats["requests"] == 2
+        assert stats["shed"] == 1
+        assert stats["failed"] == 1
+        assert stats["timed_out"] == 1
+        assert stats["executed"] == 0
+        # Extended invariant:
+        # hits + coalesced + executed + failed + shed == requests.
+        assert stats["hits"] + stats["coalesced"] + stats["executed"] \
+            + stats["failed"] + stats["shed"] == stats["requests"]
+        assert stats["reconciles"] is True
+        handle.shutdown()
+
+    def test_running_miss_counts_against_the_shed_limit(
+        self, service_factory, hanging_chaos
+    ):
+        """A miss that is running, not only one waiting, holds a slot of
+        ``max_queue_depth``, even with a pool thread free."""
+        hanging_chaos(1.0)
+        handle = service_factory(backend="chaos", workers=2, max_queue_depth=1)
+        slow = SimulationRequest("ATAX", "gto", SMALL)
+        outcomes = []
+        thread = threading.Thread(
+            target=lambda: outcomes.append(handle.simulate(slow))
+        )
+        thread.start()
+        handle.wait_running()
+        status, headers, _ = handle.simulate(SimulationRequest("SYRK", "gto", SMALL))
+        assert status == 503
+        assert int(headers["retry-after"]) >= 1
+        thread.join(timeout=60)
+        assert outcomes and outcomes[0][0] == 200
+        assert outcomes[0][2] == direct_bytes(slow)
+        stats = handle.stats()
+        assert stats["shed"] == 1 and stats["executed"] == 1
+        assert stats["reconciles"] is True
 
     def test_batch_retry_recovers_a_transient_failure(self, service_factory):
-        # Attempt 1 of the lone request fails; the queue's bounded retry
-        # re-runs the batch and attempt 2 succeeds — the client sees 200.
+        # Attempt 1 of the lone request fails; the service's bounded retry
+        # re-runs it and attempt 2 succeeds — the client sees 200.
         configure_chaos(
             FaultPlan(seed=1, rate=1.0, kinds=("fail",), only_attempts=(1,))
         )
@@ -384,81 +449,64 @@ class TestResilienceEndToEnd:
 # ---------------------------------------------------------------------------
 # Unit coverage of the pieces
 # ---------------------------------------------------------------------------
-class TestBatchQueueDrain:
-    """Satellite: drain must surface worker exceptions, not discard them."""
+class TestServiceDrain:
+    """Drain must surface the exceptions of miss tasks, not discard them."""
 
-    def _job(self, benchmark="ATAX"):
-        request = SimulationRequest(benchmark, "gto", SMALL)
-        return QueuedJob(
-            request=request,
-            cache_key=request.cache_key(),
-            record=JobRecord.for_request(
-                request, job_id=f"j-{benchmark}", cache_key=request.cache_key()
-            ),
-        )
+    @staticmethod
+    def drain_after(service: ReproService, request):
+        """Submit ``request``, drain, and return ``(outcome, summary)``."""
+
+        async def scenario():
+            await service.start()
+            (outcome,) = await asyncio.wait_for(
+                asyncio.gather(service.submit(request), return_exceptions=True),
+                timeout=60,
+            )
+            service.begin_shutdown()
+            await service.wait_closed()
+            return outcome
+
+        return asyncio.run(scenario()), service.drain_summary
 
     def test_drain_surfaces_worker_exceptions(self):
-        async def scenario():
-            def exploding_hook(outcomes, wall):
-                raise RuntimeError("stats hook exploded")
+        service = ReproService(port=0, workers=1)
 
-            queue = BatchQueue(workers=1, linger=0.0,
-                               on_batch_done=exploding_hook)
-            queue.start()
-            queue.put(self._job())
-            return await queue.drain()
+        def exploding_hook(executed, wall_seconds):
+            raise RuntimeError("stats hook exploded")
 
-        summary = asyncio.run(scenario())
+        service.stats.record_batch = exploding_hook
+        outcome, summary = self.drain_after(
+            service, SimulationRequest("ATAX", "gto", SMALL)
+        )
+        # The waiter was answered before the hook ran.
+        assert outcome[1] == "executed"
         assert summary["drain_errors"] == 1
         assert "stats hook exploded" in summary["errors"][0]
         assert summary["abandoned_batches"] == 0
 
     def test_clean_drain_reports_zero_errors(self):
-        async def scenario():
-            queue = BatchQueue(workers=1, linger=0.0)
-            queue.start()
-            queue.put(self._job())
-            return await queue.drain()
-
-        summary = asyncio.run(scenario())
+        service = ReproService(port=0, workers=1)
+        outcome, summary = self.drain_after(
+            service, SimulationRequest("ATAX", "gto", SMALL)
+        )
+        assert outcome[1] == "executed"
         assert summary == {"drain_errors": 0, "abandoned_batches": 0,
                            "errors": []}
 
-    def test_timed_out_batch_is_abandoned_and_counted(self):
-        configure_chaos(
-            FaultPlan(seed=1, rate=1.0, kinds=("hang",), hang_seconds=30.0)
+    def test_timed_out_batch_is_abandoned_and_counted(self, hanging_chaos):
+        hanging_chaos(5.0)
+        service = ReproService(
+            port=0, workers=1, backend="chaos",
+            retry=RetryPolicy(max_attempts=1, timeout_seconds=0.2),
         )
-        try:
-            failures = []
-
-            async def scenario():
-                queue = BatchQueue(
-                    workers=1, linger=0.0,
-                    retry=RetryPolicy(max_attempts=1, timeout_seconds=0.2),
-                    on_job_done=lambda job, result, error:
-                        failures.append((job, error)),
-                )
-                queue.start()
-                request = SimulationRequest("ATAX", "gto", SMALL,
-                                            backend="chaos")
-                queue.put(QueuedJob(
-                    request=request,
-                    cache_key=request.cache_key(),
-                    record=JobRecord.for_request(
-                        request, job_id="j-hang",
-                        cache_key=request.cache_key(),
-                    ),
-                ))
-                return await queue.drain()
-
-            summary = asyncio.run(scenario())
-            assert summary["abandoned_batches"] == 1
-            assert summary["drain_errors"] == 0
-            assert len(failures) == 1
-            job, error = failures[0]
-            assert "deadline" in str(error)
-        finally:
-            configure_chaos(None)
+        outcome, summary = self.drain_after(
+            service, SimulationRequest("ATAX", "gto", SMALL)
+        )
+        assert summary["abandoned_batches"] == 1
+        assert summary["drain_errors"] == 0
+        assert isinstance(outcome, BatchTimeoutError)
+        assert "deadline" in str(outcome)
+        assert service.stats.timed_out == 1 and service.stats.failed == 1
 
 
 class TestCoalescer:
@@ -497,12 +545,16 @@ class TestServiceStats:
             stats.record_request()
         stats.record_hit()
         stats.record_coalesced()
-        stats.record_batch([("reference", 1000)], wall_seconds=0.5)
+        stats.record_batch(("reference", 1000), wall_seconds=0.5)
         assert stats.reconciles()
-        snapshot = stats.snapshot(queue_depth=2, inflight=1)
-        assert snapshot["served"] == 3 and snapshot["queue_depth"] == 2
+        snapshot = stats.snapshot(inflight=1)
+        assert snapshot["served"] == 3 and snapshot["inflight"] == 1
+        assert "queue_depth" not in snapshot
         assert snapshot["per_backend"]["reference"]["executed"] == 1
         assert snapshot["per_backend"]["reference"]["cycles_per_second"] == 2000.0
+        # A failed run is one more dispatched miss, and no execution.
+        stats.record_batch(None, wall_seconds=0.5)
+        assert stats.batches == 2 and stats.executed == 1
 
     def test_rejects_do_not_unbalance_the_books(self):
         stats = ServiceStats()
@@ -510,15 +562,6 @@ class TestServiceStats:
         assert stats.reconciles()
         entry = stats.ledger_entry()
         assert entry["kind"] == "serve" and entry["rejected"] == 1
-
-    def test_batch_wall_split_across_backends(self):
-        stats = ServiceStats()
-        stats.record_batch(
-            [("reference", 100), ("vector", 300)], wall_seconds=1.0
-        )
-        assert stats.per_backend["reference"].wall_seconds == 0.5
-        assert stats.per_backend["vector"].cycles == 300
-        assert stats.executed == 2 and stats.batches == 1
 
 
 class TestRequestDecoding:

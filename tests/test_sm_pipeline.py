@@ -237,7 +237,7 @@ class TestReadyIndexAndSlotReuse:
         sm.step_cycle(0)  # load issues and misses (fill in flight)
         sm.step_cycle(1)  # exit retires the warp; CTA 1 reuses slot 0
         assert first.finished and first.pending_loads == 1
-        live = sm._warp_by_id(0)
+        live = sm._warps_by_wid.get(0)
         assert live is not None and live is not first and not live.finished
         assert live.pending_loads == 0
         stats = sm.run()  # drains the in-flight fill along the way

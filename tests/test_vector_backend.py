@@ -73,18 +73,18 @@ def test_vector_matches_golden(key):
 # Targeted parity beyond the fixture matrix
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "gpu_config",
+    "machine",
     [
-        GPUConfig.gtx480_large_l1d(),
-        GPUConfig.gtx480_8way_l1d(),
-        GPUConfig.gtx480_2x_dram(),
-        GPUConfig.gtx480(num_sms=2),
+        {"gpu_config": GPUConfig.gtx480_large_l1d()},
+        {"gpu_config": GPUConfig.gtx480_8way_l1d()},
+        {"dram_bandwidth_scale": 2.0},
+        {"gpu_config": GPUConfig.gtx480(num_sms=2)},
     ],
     ids=["large-l1d", "8way-l1d", "2x-dram", "two-sms"],
 )
-def test_vector_matches_reference_on_machine_variants(gpu_config):
+def test_vector_matches_reference_on_machine_variants(machine):
     """Figure 12 machine variants and multi-SM runs stay bit-identical."""
-    config = RunConfig(scale=0.03, seed=3, gpu_config=gpu_config)
+    config = RunConfig(scale=0.03, seed=3, **machine)
     reference = execute(SimulationRequest("ATAX", "gto", config, backend="reference"))
     vector = _vector_result("ATAX", "gto", config)
     assert _normalized(vector, backend_label="x") == _normalized(

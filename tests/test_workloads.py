@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from repro.gpu.coalescer import Coalescer
-from repro.gpu.instruction import InstructionKind
+from repro.gpu.instruction import GLOBAL_MEMORY_KINDS, InstructionKind
 from repro.workloads import (
     MEMORY_INTENSIVE_BENCHMARKS,
     all_benchmarks,
@@ -123,7 +123,7 @@ class TestSyntheticModel:
         spec = get_benchmark("SYRK")
         model = SyntheticKernelModel(spec, scale=1.0, seed=5)
         instrs = list(model._warp_stream(0, 0, 0))
-        mem = sum(1 for i in instrs if i.is_global_memory)
+        mem = sum(1 for i in instrs if i.kind in GLOBAL_MEMORY_KINDS)
         frac = mem / len(instrs)
         assert abs(frac - spec.model.mem_fraction) < 0.08
 
@@ -153,8 +153,8 @@ class TestSyntheticModel:
         model = SyntheticKernelModel(spec, scale=1.0, seed=11)
         instrs = list(model._warp_stream(0, 0, 0))
         half = len(instrs) // 2
-        early = sum(1 for i in instrs[: half // 2] if i.is_global_memory) / (half // 2)
-        late = sum(1 for i in instrs[-half // 2 :] if i.is_global_memory) / (half // 2)
+        early = sum(1 for i in instrs[: half // 2] if i.kind in GLOBAL_MEMORY_KINDS) / (half // 2)
+        late = sum(1 for i in instrs[-half // 2 :] if i.kind in GLOBAL_MEMORY_KINDS) / (half // 2)
         assert late < early
 
     def test_invalid_scale(self):
