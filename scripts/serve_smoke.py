@@ -12,7 +12,12 @@ Boots ``repro serve`` as a real subprocess on an ephemeral port, then:
 4. exercises graceful shutdown: ``POST /shutdown`` must drain and exit 0
    with the final "drained:" summary on stdout;
 5. boots ``repro serve`` and ``repro worker`` once more and sends each
-   SIGTERM the moment it announces: both must drain the same way.
+   SIGTERM the moment it announces: both must drain the same way;
+6. boots ``repro serve`` with a result cache in its own temporary
+   directory and POSTs one request three times: the answers must come
+   from ``executed``, ``cache``, ``cache`` with byte-identical bodies and
+   equal ``X-Repro-Digest`` headers, and ``/stats`` must count 2 hits and
+   reconcile.
 
 Standalone and stdlib-only, usable without installing the package::
 
@@ -30,6 +35,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -189,8 +195,45 @@ def main() -> int:
         daemon.send_signal(signal.SIGTERM)
         expect_drained(daemon, name, "SIGTERM")
         print(f"{name}: SIGTERM drain ok")
+
+    # -- 6. repeated requests against a cache-backed service --------------
+    with tempfile.TemporaryDirectory(prefix="serve-smoke-") as tmp:
+        cached_leg(env, Path(tmp), payload)
     print("SERVE SMOKE PASSED")
     return 0
+
+
+def cached_leg(env: dict, tmp: Path, payload: bytes) -> None:
+    """One request POSTed three times: executed once, then two cache hits
+    answered with the same bytes and digest."""
+    server, port = boot(
+        {
+            **env,
+            "REPRO_RESULT_CACHE": "1",
+            "REPRO_CACHE_DIR": str(tmp / "cache"),
+            "REPRO_QUARANTINE_DIR": str(tmp / "quarantine"),
+        },
+        "serve", "--port", "0", "--workers", "1",
+    )
+    answers = [request(port, "POST", "/simulate", payload) for _ in range(3)]
+    for status, _, body in answers:
+        if status != 200:
+            fail(f"/simulate answered {status}: {body[:200]!r}", server)
+    sources = [headers["x-repro-source"] for _, headers, _ in answers]
+    if sources != ["executed", "cache", "cache"]:
+        fail(f"expected executed, cache, cache; got {sources}", server)
+    if len({body for _, _, body in answers}) != 1:
+        fail("repeated requests returned different bytes", server)
+    digests = {headers["x-repro-digest"] for _, headers, _ in answers}
+    if len(digests) != 1:
+        fail(f"repeated requests carried different digests: {digests}", server)
+    status, _, body = request(port, "GET", "/stats")
+    stats = json.loads(body) if status == 200 else {}
+    if stats.get("hits") != 2 or not stats.get("reconciles"):
+        fail(f"cached leg: expected 2 hits and reconciled books, got {stats}", server)
+    print(f"cached leg ok: sources {sources}, {len(answers[0][2])} identical bytes")
+    request(port, "POST", "/shutdown", b"")
+    expect_drained(server, "serve", "/shutdown")
 
 
 if __name__ == "__main__":

@@ -63,6 +63,9 @@ JOB_SCHEMA = 1
 # Serialization codec: registered dataclasses/enums <-> JSON-safe primitives
 # ---------------------------------------------------------------------------
 _SERIALIZABLE: dict[str, type] = {}
+#: Field names of every registered dataclass, in definition order, resolved
+#: once at registration so :func:`encode_value` never re-reads them.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
 def register_serializable(cls: type) -> type:
@@ -77,6 +80,8 @@ def register_serializable(cls: type) -> type:
     if existing is not None and existing is not cls:
         raise ValueError(f"serializable name collision: {name!r}")
     _SERIALIZABLE[name] = cls
+    if dataclasses.is_dataclass(cls):
+        _FIELD_NAMES[cls] = tuple(f.name for f in dataclasses.fields(cls))
     return cls
 
 
@@ -96,16 +101,11 @@ def encode_value(value: Any) -> Any:
     """
     if value is None or type(value) in _JSON_LEAVES:
         return value  # the common case first: most of a graph is leaves
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        name = type(value).__name__
-        if _SERIALIZABLE.get(name) is not type(value):
-            raise TypeError(f"{name} is not registered with register_serializable()")
+    names = _FIELD_NAMES.get(type(value))
+    if names is not None:
         return {
-            "__dc__": name,
-            "fields": {
-                f.name: encode_value(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-            },
+            "__dc__": type(value).__name__,
+            "fields": {name: encode_value(getattr(value, name)) for name in names},
         }
     if isinstance(value, enum.Enum):
         name = type(value).__name__
@@ -122,6 +122,10 @@ def encode_value(value: Any) -> Any:
         return {"__map__": [[encode_value(k), encode_value(v)] for k, v in value.items()]}
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        raise TypeError(
+            f"{type(value).__name__} is not registered with register_serializable()"
+        )
     raise TypeError(f"cannot encode {type(value).__name__}: {value!r}")
 
 

@@ -258,6 +258,17 @@ class ResultCache:
         except Exception:
             return None
 
+    def stamp(self, key: str) -> Optional[tuple[int, int]]:
+        """The entry file's ``(inode, mtime_ns)`` for ``key``, or ``None``
+        when there is no entry.  One ``stat``, no read: a reader holding a
+        result it verified earlier learns whether the entry was since
+        rewritten, repaired or quarantined (each changes the stamp)."""
+        try:
+            st = os.stat(self._path(key))
+        except OSError:
+            return None
+        return st.st_ino, st.st_mtime_ns
+
     def put(self, key: str, result: Any) -> None:
         """Store ``result`` under ``key`` atomically, digest included."""
         path = self._path(key)

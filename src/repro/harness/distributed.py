@@ -531,7 +531,7 @@ def run_distributed(
         jobs, cache=cache, backend=backend, on_error=on_error,
         manifest=manifest, keyed=True,
     )
-    stats, results, cache = books.stats, books.results, books.cache
+    stats, cache = books.stats, books.cache
     stats.workers = len(workers)
     pending = books.pending
 
@@ -724,9 +724,7 @@ def run_distributed(
             # simply re-runs on resume), chunks re-queued elsewhere.
             for merged in fleet.merged.pop(position, []):
                 for m_index, _m_job, m_key in merged.items:
-                    if isinstance(results[m_index], JobFailure):
-                        stats.failed -= 1
-                    results[m_index] = None
+                    books.unsettle(m_index)
                     if cache is not None:
                         cache.quarantine_entry(
                             m_key,

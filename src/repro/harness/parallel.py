@@ -7,7 +7,8 @@ descriptor shared with ``run_benchmark``, the result cache and the CLI — and
 :func:`run_jobs` executes them:
 
 1. *plan*: every job's cache key is computed up front (see
-   :mod:`repro.harness.cache`) and hits are served without simulating;
+   :mod:`repro.harness.cache`), hits are served without simulating, and a
+   job repeating an earlier one shares its simulation;
 2. *execute*: the remaining jobs run in-process (no pool, no pickling) when
    ``workers == 1``, or on a ``ProcessPoolExecutor`` when ``workers > 1``
    (:func:`repro.harness.distributed.run_distributed` is the third,
@@ -230,6 +231,8 @@ class SweepStats:
 
     jobs: int = 0
     cache_hits: int = 0
+    #: Simulations planned to run: a job repeating an earlier one in the
+    #: sweep shares that job's simulation and is not counted again.
     executed: int = 0
     workers: int = 1
     wall_seconds: float = 0.0
@@ -448,12 +451,16 @@ class _Sweep:
     """The books of one sweep, shared by every executor.
 
     Construction plans the sweep (backend fill, cache and manifest loading,
-    keys, cache hits) and leaves :attr:`pending` to run.  Executors hand
-    each outcome to :meth:`succeed` or :meth:`fail`, which settle it: result
-    slot, cache write, one manifest row with the real attempt count and
-    resolved backend, and for a failure :class:`SweepError` ("raise") or a
-    :class:`JobFailure` slot.  :meth:`outcome` returns the settled sweep;
-    :meth:`finish` also writes its ledger row.
+    keys, cache hits) and leaves :attr:`pending` to run.  A job repeating an
+    earlier one (the same cache key, or an equal request in a keyless
+    sweep) is planned once: it shares that job's simulation, result and
+    manifest row (:attr:`repeats`), so ``stats.executed`` counts
+    simulations.  Executors hand each outcome to :meth:`succeed` or
+    :meth:`fail`, which settle it: result slots, cache write, one manifest
+    row with the real attempt count and resolved backend, and for a failure
+    :class:`SweepError` ("raise") or :class:`JobFailure` slots.
+    :meth:`outcome` returns the settled sweep; :meth:`finish` also writes
+    its ledger row.
     """
 
     def __init__(
@@ -498,6 +505,11 @@ class _Sweep:
         self.keys: list[str] = []
         #: ``(index, job, key)`` of every job left to execute, in order.
         self.pending: list[tuple[int, AnyRequest, Optional[str]]] = []
+        #: Indices of the later jobs repeating each planned job's index.
+        self.repeats: dict[int, list[int]] = {}
+        #: Planned job indices by identity: the cache key, or for a keyless
+        #: job its names (equal requests are then found by comparison).
+        planned: dict[object, list[int]] = {}
         keyed = keyed or cache is not None or self.manifest_path is not None
         for index, job in enumerate(jobs):
             key = None
@@ -513,6 +525,18 @@ class _Sweep:
                     self.fail(index, job, None, exc)
                     continue
                 self.keys.append(key)
+            identity = key or (job.benchmark_name, job.scheduler)
+            first = next(
+                (i for i in planned.get(identity, ()) if key or jobs[i] == job),
+                None,
+            )
+            if first is not None:
+                self.repeats.setdefault(first, []).append(index)
+                if self.results[first] is not None:  # a cache hit
+                    self.results[index] = self.results[first]
+                    self.stats.cache_hits += 1
+                continue
+            planned.setdefault(identity, []).append(index)
             if cache is not None:
                 hit = _decode_cached_result(cache.get(key))
                 if hit is not None:
@@ -521,6 +545,10 @@ class _Sweep:
                     continue
             self.pending.append((index, job, key))
         self.stats.executed = len(self.pending)
+
+    def _slots(self, index: int) -> tuple[int, ...]:
+        """``index`` and the slots of the jobs repeating it."""
+        return (index, *self.repeats.get(index, ()))
 
     # -- settlement ----------------------------------------------------
     def record(self, job, key: Optional[str], status: str, attempts: int,
@@ -544,9 +572,10 @@ class _Sweep:
 
     def succeed(self, index: int, job, key: Optional[str],
                 result: SimulationResult, attempts: int) -> None:
-        """Settle a completed job: result slot, cache write, ``done`` row."""
-        self.results[index] = result
-        self.attempts[index] = attempts
+        """Settle a completed job: result slots, cache write, ``done`` row."""
+        for slot in self._slots(index):
+            self.results[slot] = result
+            self.attempts[slot] = attempts
         if self.cache is not None and key is not None:
             self.cache.put(key, result.to_dict())
         self.record(job, key, "done", attempts)
@@ -558,8 +587,10 @@ class _Sweep:
         """Settle a job that exhausted its attempts (``completed`` /
         ``outstanding`` describe what survived, for :class:`SweepError`)."""
         error_type = _error_type(cause)
-        self.stats.failed += 1
-        self.attempts[index] = attempts
+        slots = self._slots(index)
+        self.stats.failed += len(slots)
+        for slot in slots:
+            self.attempts[slot] = attempts
         self.record(
             job, key, "timeout" if timed_out else "failed", attempts,
             error=f"{error_type}: {cause}",
@@ -568,13 +599,21 @@ class _Sweep:
             raise SweepError(
                 job, cause, completed=completed, outstanding=outstanding
             ) from cause
-        self.results[index] = JobFailure(
-            job=job,
-            error=str(cause),
-            error_type=error_type,
-            attempts=attempts,
-            timed_out=timed_out,
-        )
+        for slot in slots:
+            self.results[slot] = JobFailure(
+                job=self.jobs[slot],
+                error=str(cause),
+                error_type=error_type,
+                attempts=attempts,
+                timed_out=timed_out,
+            )
+
+    def unsettle(self, index: int) -> None:
+        """Clear a settled job's slots (its repeats' too) to run it again."""
+        for slot in self._slots(index):
+            if isinstance(self.results[slot], JobFailure):
+                self.stats.failed -= 1
+            self.results[slot] = None
 
     def outcome(self) -> SweepOutcome:
         """Stamp the wall time and return the settled sweep."""

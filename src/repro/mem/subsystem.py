@@ -26,12 +26,14 @@ class MemorySubsystemConfig:
     interconnect: InterconnectConfig | None = None
 
     @classmethod
-    def gtx480(cls, *, dram_bandwidth_scale: float = 1.0) -> "MemorySubsystemConfig":
-        """Baseline configuration; ``dram_bandwidth_scale`` supports Fig. 12b."""
-        dram = DRAMConfig.gtx480()
-        if dram_bandwidth_scale != 1.0:
-            dram = dram.scaled_bandwidth(dram_bandwidth_scale)
-        return cls(l2=CacheConfig.l2_gtx480(), dram=dram, interconnect=InterconnectConfig())
+    def gtx480(cls) -> "MemorySubsystemConfig":
+        """Baseline configuration (Fig. 12b scales DRAM bandwidth through
+        ``RunConfig.dram_bandwidth_scale`` instead)."""
+        return cls(
+            l2=CacheConfig.l2_gtx480(),
+            dram=DRAMConfig.gtx480(),
+            interconnect=InterconnectConfig(),
+        )
 
 
 class MemorySubsystem:

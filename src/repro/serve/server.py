@@ -7,9 +7,11 @@ service.  One :class:`ReproService` wires the existing pieces together:
 * requests arrive as the existing versioned wire forms
   (:meth:`repro.api.SimulationRequest.from_dict` /
   :meth:`repro.api.MultiTenantRequest.from_dict`) on ``POST /simulate``;
-* cache hits are served instantly from :class:`repro.harness.cache
-  .ResultCache` via its side-effect-free :meth:`~repro.harness.cache
-  .ResultCache.peek` path;
+* cache hits are served instantly: from an in-memory tier of verified
+  results (:data:`HOT_RESULTS` of them, least recently used evicted) while
+  the entry each was verified against is still on disk unchanged, else
+  from :class:`repro.harness.cache.ResultCache` via its side-effect-free
+  :meth:`~repro.harness.cache.ResultCache.peek` path;
 * identical in-flight requests coalesce into a single simulation
   (:class:`repro.serve.coalesce.Coalescer`, keyed on the same
   content-addressed cache key as the result cache);
@@ -65,6 +67,9 @@ from repro.version import __version__
 DEFAULT_PORT = 8651
 #: ``/jobs`` keeps the most recent this many job records.
 MAX_JOB_RECORDS = 256
+#: Verified results a service with a cache keeps in memory (a decoded
+#: scale-1.0 result is about 34 KB, so at most about 9 MB).
+HOT_RESULTS = 256
 
 
 class BatchTimeoutError(RuntimeError):
@@ -137,6 +142,14 @@ class ReproService(Daemon):
         self.max_queue_depth = max_queue_depth
         self.stats = ServiceStats()
         self.coalescer = Coalescer()
+        #: ``(result, entry stamp)`` of results verified against the cache,
+        #: by cache key, least recently used first.  A result enters only
+        #: after a digest-checked ``peek`` or a passed read-back audit, and
+        #: is served only while its entry keeps that stamp; without a cache
+        #: there is no tier, so every miss that is not coalesced simulates.
+        self.hot: Optional["OrderedDict[str, tuple]"] = (
+            OrderedDict() if cache is not None else None
+        )
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
@@ -198,6 +211,9 @@ class ReproService(Daemon):
         ``source`` is ``"cache"``, ``"coalesced"`` or ``"executed"`` —
         exactly one counter increments per request, so the ``/stats``
         books always reconcile (load-shed requests count under ``shed``).
+        ``result`` may be the very object other requests for the same key
+        receive (coalesced followers, in-memory hits): callers must not
+        mutate it.
         Raises :class:`RejectedRequest` for payloads that never became a
         job, :class:`ServiceDraining` during shutdown,
         :class:`ServiceOverloaded` when ``max_queue_depth`` distinct misses
@@ -219,9 +235,15 @@ class ReproService(Daemon):
         self.stats.record_request()
         record = self._new_record(request, cache_key)
 
-        # 1. Cache: serve hits instantly, via the side-effect-free peek.
+        # 1. Cache: serve hits instantly, from memory when the result was
+        # verified before, else via the side-effect-free peek.
         if self.cache is not None:
-            hit = _decode_cached_result(self.cache.peek(cache_key))
+            hit = self._recall(cache_key)
+            if hit is None:
+                stamp = self.cache.stamp(cache_key)  # before the read
+                hit = _decode_cached_result(self.cache.peek(cache_key))
+                if hit is not None:
+                    self._remember(cache_key, hit, stamp)
             if hit is not None:
                 self.stats.record_hit()
                 record.advance(
@@ -319,7 +341,9 @@ class ReproService(Daemon):
         if error is None:
             record.advance(JobState.DONE, source="executed", finished_at=time.time())
             self.coalescer.resolve(key, result)
-            self._audit_cached(key, result)
+            stamp = self.cache.stamp(key) if self.cache is not None else None
+            if self._audit_cached(key, result):
+                self._remember(key, result, stamp)
             cycles = max((s.cycles for s in result.per_sm), default=0)
             self.stats.record_batch((result.backend, cycles), wall)
         else:
@@ -340,17 +364,18 @@ class ReproService(Daemon):
         if error is not None:
             self._errors.append(f"{type(error).__name__}: {error}")
 
-    def _audit_cached(self, cache_key: str, result) -> None:
+    def _audit_cached(self, cache_key: str, result) -> bool:
         """Read-back audit: the envelope just persisted for an executed job
         must digest-match the result we are about to serve.  A divergence
         means the entry was torn or corrupted between ``put`` and here —
         quarantine it so no later request is served the damaged bytes.
+        Returns whether the audit passed, which gates the in-memory tier.
         """
         if self.cache is None:
-            return
+            return False
         stored = self.cache.peek(cache_key)
         if stored is None:
-            return  # uncacheable request or concurrent eviction: no envelope
+            return False  # failed write or concurrent eviction: no envelope
         ok = result_digest(stored) == result_digest(result.to_dict())
         self.stats.record_audit(ok=ok)
         if not ok:
@@ -359,6 +384,32 @@ class ReproService(Daemon):
                 "serve read-back audit: stored envelope diverged from the "
                 "executed result",
             )
+        return ok
+
+    def _remember(self, cache_key: str, result, stamp) -> None:
+        """Put a result verified against the entry stamped ``stamp`` (taken
+        before the verifying read) in the in-memory tier, evicting the least
+        recently used one past :data:`HOT_RESULTS`."""
+        if stamp is None:
+            return  # the entry appeared mid-read: nothing to check it by
+        self.hot[cache_key] = (result, stamp)
+        if len(self.hot) > HOT_RESULTS:
+            self.hot.popitem(last=False)
+
+    def _recall(self, cache_key: str):
+        """The tier's result for ``cache_key``, or ``None``.  A result whose
+        entry was since rewritten, repaired or quarantined (a distributed
+        audit quarantines a lying worker's entries in the shared cache) is
+        dropped, so the next read goes back to disk."""
+        held = self.hot.get(cache_key)
+        if held is None:
+            return None
+        result, stamp = held
+        if self.cache.stamp(cache_key) != stamp:
+            del self.hot[cache_key]
+            return None
+        self.hot.move_to_end(cache_key)
+        return result
 
     def stats_payload(self) -> dict:
         """The ``/stats`` document: live counters + bench-ledger summary."""

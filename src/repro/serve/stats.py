@@ -2,8 +2,10 @@
 
 One :class:`ServiceStats` instance counts what the service does: requests,
 cache hits, coalesces and rejects as they arrive, and each dispatched miss
-as it settles.  All mutation goes through ``record_*`` methods guarded by
-one lock, so the ``/stats`` endpoint always reads a consistent snapshot.
+as it settles.  All mutation goes through ``record_*`` methods, and every
+caller runs on the service's event-loop thread (worker threads only run
+simulations), so the ``/stats`` endpoint always reads a consistent
+snapshot without a lock.
 
 The central service invariant is :meth:`ServiceStats.reconciles`: every
 accepted request was answered exactly one way —
@@ -25,7 +27,6 @@ traffic lands in the same append-only trajectory as sweeps and shows up in
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -93,50 +94,39 @@ class ServiceStats:
     audit_failures: int = 0
     started_at: float = field(default_factory=time.time)
     per_backend: dict = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     # ------------------------------------------------------------------
     def record_request(self) -> None:
-        with self._lock:
-            self.requests += 1
+        self.requests += 1
 
     def record_hit(self) -> None:
-        with self._lock:
-            self.hits += 1
+        self.hits += 1
 
     def record_coalesced(self) -> None:
-        with self._lock:
-            self.coalesced += 1
+        self.coalesced += 1
 
     def record_rejected(self) -> None:
-        with self._lock:
-            self.rejected += 1
+        self.rejected += 1
 
     def record_failed(self) -> None:
-        with self._lock:
-            self.failed += 1
+        self.failed += 1
 
     def record_shed(self) -> None:
-        with self._lock:
-            self.shed += 1
+        self.shed += 1
 
     def record_timed_out(self) -> None:
-        with self._lock:
-            self.timed_out += 1
+        self.timed_out += 1
 
     def record_retried(self, count: int) -> None:
-        with self._lock:
-            self.retried += count
+        self.retried += count
 
     def record_drain_error(self, count: int) -> None:
-        with self._lock:
-            self.drain_errors += count
+        self.drain_errors += count
 
     def record_audit(self, *, ok: bool) -> None:
-        with self._lock:
-            self.audited += 1
-            if not ok:
-                self.audit_failures += 1
+        self.audited += 1
+        if not ok:
+            self.audit_failures += 1
 
     def record_batch(self, executed, wall_seconds: float) -> None:
         """Account one dispatched miss and its wall time.
@@ -144,16 +134,15 @@ class ServiceStats:
         ``executed`` is the run's ``(backend_name, cycles)``, or ``None``
         when it failed (a failed run adds no throughput).
         """
-        with self._lock:
-            self.batches += 1
-            if executed is None:
-                return
-            backend, cycles = executed
-            self.executed += 1
-            slot = self.per_backend.setdefault(backend, BackendThroughput())
-            slot.executed += 1
-            slot.cycles += cycles
-            slot.wall_seconds += wall_seconds
+        self.batches += 1
+        if executed is None:
+            return
+        backend, cycles = executed
+        self.executed += 1
+        slot = self.per_backend.setdefault(backend, BackendThroughput())
+        slot.executed += 1
+        slot.cycles += cycles
+        slot.wall_seconds += wall_seconds
 
     # ------------------------------------------------------------------
     @property
@@ -167,38 +156,35 @@ class ServiceStats:
         Shed requests are "answered" with a 503 + ``Retry-After``; they
         enter ``requests`` (the payload was valid) and must balance too.
         """
-        with self._lock:
-            return (
-                self.hits + self.coalesced + self.executed + self.failed
-                + self.shed
-                == self.requests
-            )
+        return (
+            self.hits + self.coalesced + self.executed + self.failed
+            + self.shed
+            == self.requests
+        )
 
     def _counters(self) -> dict:
-        """Every counter by name (call with the lock held)."""
+        """Every counter by name."""
         return {name: getattr(self, name) for name in COUNTERS}
 
     def snapshot(self, *, inflight: int = 0) -> dict:
         """A consistent JSON-safe view for the ``/stats`` endpoint."""
-        with self._lock:
-            return {
-                **self._counters(),
-                "served": self.hits + self.coalesced + self.executed,
-                "inflight": inflight,
-                "uptime_seconds": round(time.time() - self.started_at, 3),
-                "per_backend": {
-                    name: slot.as_dict()
-                    for name, slot in sorted(self.per_backend.items())
-                },
-            }
+        return {
+            **self._counters(),
+            "served": self.served,
+            "inflight": inflight,
+            "uptime_seconds": round(time.time() - self.started_at, 3),
+            "per_backend": {
+                name: slot.as_dict()
+                for name, slot in sorted(self.per_backend.items())
+            },
+        }
 
     def ledger_entry(self) -> dict:
         """One ``"kind": "serve"`` row for the bench ledger (drain time)."""
-        with self._lock:
-            return {
-                "kind": "serve",
-                "ts": round(time.time(), 3),
-                **self._counters(),
-                "uptime_seconds": round(time.time() - self.started_at, 3),
-                "backend": ",".join(sorted(self.per_backend)),
-            }
+        return {
+            "kind": "serve",
+            "ts": round(time.time(), 3),
+            **self._counters(),
+            "uptime_seconds": round(time.time() - self.started_at, 3),
+            "backend": ",".join(sorted(self.per_backend)),
+        }

@@ -29,6 +29,7 @@ from repro.api import (
     TenantSpec,
     decode_request_batch,
     encode_request_batch,
+    execute,
     result_digest,
 )
 from repro.harness.cache import ResultCache
@@ -734,12 +735,12 @@ class TestSettlementParity:
         SimulationRequest("BICG", "gto", SMALL),
     ]
 
-    def executors(self, worker):
+    def executors(self, worker, jobs=JOBS):
         return {
-            "in-process": lambda **kw: run_jobs(self.JOBS, workers=1, cache=None, **kw),
-            "pool": lambda **kw: run_jobs(self.JOBS, workers=2, cache=None, **kw),
+            "in-process": lambda **kw: run_jobs(jobs, workers=1, cache=None, **kw),
+            "pool": lambda **kw: run_jobs(jobs, workers=2, cache=None, **kw),
             "remote": lambda **kw: run_distributed(
-                self.JOBS, [worker.ref], cache=None, **kw
+                jobs, [worker.ref], cache=None, **kw
             ),
         }
 
@@ -766,6 +767,28 @@ class TestSettlementParity:
         ]
         backend = self.JOBS[0].resolved_backend()
         assert all(row[2] == 1 and row[3] == backend for row in rows["in-process"])
+
+    def test_repeated_jobs_share_one_simulation(self, worker, tmp_path):
+        """A job repeated within a sweep runs once on every executor: its
+        slots share one result (or failure) and one manifest row."""
+        good, bad = self.JOBS[0], self.JOBS[1]
+        jobs = [good, bad, good, bad]
+        want = canonical_json(execute(good).to_dict())
+        for name, run in self.executors(worker, jobs).items():
+            manifest = tmp_path / f"{name}.manifest"
+            outcome = run(on_error="skip", manifest=manifest)
+            assert outcome.stats.executed == 2, name
+            assert outcome.stats.failed == 2, name
+            assert outcome.results[0] is outcome.results[2], name
+            assert canonical_json(outcome.results[0].to_dict()) == want, name
+            failures = outcome.failures()
+            assert [f.job for f in failures] == [bad, bad], name
+            assert outcome.attempts == [1, 1, 1, 1], name
+            statuses = sorted(
+                row["status"]
+                for row in map(json.loads, manifest.read_text().splitlines())
+            )
+            assert statuses == ["done", "failed"], name
 
     def test_retry_mode_counts_the_same_attempts(self, worker, tmp_path):
         """A job that succeeds on its second attempt settles as ``done``

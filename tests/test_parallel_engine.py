@@ -133,6 +133,27 @@ class TestWorkersAndErrors:
         assert alias.results[0] == canonical.results[0]
         assert alias.results[0].scheduler_name == "ciao-c"
 
+    def test_repeated_request_simulates_once(self, tmp_path):
+        """Equal requests share one simulation in a keyless sweep, and
+        aliases of one cache key do in a keyed one."""
+        request = SimulationRequest("ATAX", "gto", RunConfig(scale=0.03, seed=1))
+        outcome = run_jobs([request, request], workers=1)
+        assert outcome.stats.executed == 1
+        assert outcome.results[0] is outcome.results[1]
+
+        from repro.harness.cache import ResultCache
+
+        alias = SimulationRequest("SYRK", "ciao_c", SMALL)
+        canonical = SimulationRequest("SYRK", "ciao-c", SMALL)
+        cache = ResultCache(tmp_path / "cache")
+        cold = run_jobs([alias, canonical, alias], workers=1, cache=cache)
+        assert cold.stats.executed == 1 and cold.stats.cache_hits == 0
+        assert cache.stats.puts == 1
+        warm = run_jobs([alias, canonical], workers=1, cache=cache)
+        assert warm.stats.executed == 0 and warm.stats.cache_hits == 2
+        assert cache.stats.hits == 1  # the repeat reads no entry
+        assert warm.results[0] is warm.results[1] == cold.results[0]
+
     def test_unknown_benchmark_raises_in_pool_too(self):
         jobs = [SimulationRequest("SYRK", "gto", SMALL), SimulationRequest("NOPE", "gto", SMALL)]
         with pytest.raises(SweepError, match="NOPE"):

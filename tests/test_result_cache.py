@@ -100,6 +100,53 @@ class TestCacheKeys:
     def test_code_fingerprint_is_stable(self):
         assert code_fingerprint() == code_fingerprint()
 
+    def test_keys_are_pinned(self):
+        """Cache keys of fixed requests never drift: every stored entry and
+        every wire form depends on them.  Update these strings only with a
+        deliberate change to the key codec."""
+        from repro.api import MultiTenantRequest, TenantSpec
+
+        requests = {
+            "997b1c315b1137bbc47a83a8f998552c7de95bd3b848c33d967e19cd8a9b8ab5":
+                SimulationRequest("ATAX", "gto", SMALL, backend="vector"),
+            "ed935946fe178072355017f6d33292240943117b151f599723bc8924b8e81f26":
+                SimulationRequest(
+                    "SYRK", "ciao-c",
+                    RunConfig(scale=0.3, seed=7, dram_bandwidth_scale=2.0,
+                              gpu_config=GPUConfig.gtx480_8way_l1d()),
+                    backend="reference",
+                ),
+            "43cea57fa79ecce879fada3f2d37c13c9b96d5f8393aab5a51615ad144393f93":
+                SimulationRequest(
+                    "GESUMMV", "best-swl",
+                    RunConfig(
+                        scale=1.0, seed=12345, num_ctas=4, warps_per_cta=8,
+                        ciao_params=CIAOParameters.paper_defaults()
+                        .with_high_epoch(1000),
+                        max_cycles=100000,
+                    ),
+                    backend="lockstep", tag="ignored",
+                ),
+            "dc2c3fd569a200ac9f03ab582bc9049942cc6b8ba715947191f9072f96c8561a":
+                MultiTenantRequest(
+                    tenants=(
+                        TenantSpec("a", "ATAX", "gto", sm_ids=(0,)),
+                        TenantSpec("b", "SYRK", "ciao-c", sm_ids=(2, 1),
+                                   address_space=1, launch_cycle=500),
+                    ),
+                    run_config=RunConfig(scale=0.05, seed=3),
+                    tag="t",
+                ),
+            "a910d4550a91f477f7cdef48ad44f13514f2f082b767a5a7bb53a7c5d76e8f5d":
+                MultiTenantRequest(
+                    tenants=(TenantSpec("shield", "KMN", "statpcal", sm_ids=(1,)),),
+                    run_config=RunConfig(scale=0.1, seed=2),
+                    total_sms=4,
+                ),
+        }
+        for key, request in requests.items():
+            assert request.cache_key(code_version="key-pin") == key, request
+
 
 class TestMultiTenantKeys:
     """Cache-key sensitivity of co-located (multi-tenant) jobs."""
@@ -269,6 +316,18 @@ class TestPeek:
         assert cache.peek(key) is None
         assert path.exists(), "peek must be side-effect free"
         assert cache.stats.errors == 0
+
+    def test_stamp_changes_when_the_entry_file_does(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache", quarantine=tmp_path / "q")
+        key = "12" * 32
+        assert cache.stamp(key) is None
+        cache.put(key, {"x": 1})
+        first = cache.stamp(key)
+        assert first is not None and cache.stamp(key) == first
+        cache.put(key, {"x": 1})  # the same bytes, rewritten: a new file
+        assert cache.stamp(key) not in (None, first)
+        cache.quarantine_entry(key, "test")
+        assert cache.stamp(key) is None
 
 
 class TestConcurrentAccess:

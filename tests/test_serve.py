@@ -11,8 +11,10 @@ produce exactly M simulations, every response is byte-identical to a direct
 from __future__ import annotations
 
 import asyncio
+import copy
 import http.client
 import json
+import pickle
 import threading
 import time
 
@@ -30,6 +32,7 @@ from repro.api import (
 )
 from repro.harness.cache import ResultCache
 from repro.harness.faults import FaultPlan, configure_chaos
+from repro.harness.integrity import result_digest
 from repro.harness.parallel import RetryPolicy
 from repro.serve import (
     BatchTimeoutError,
@@ -169,6 +172,26 @@ class TestServiceEndToEnd:
         assert first[2] == second[2] == direct_bytes(request)
         stats = handle.stats()
         assert stats["hits"] == 1 and stats["executed"] == 1
+
+    def test_memory_hit_answers_the_direct_body_and_digest(
+        self, service_factory, tmp_path
+    ):
+        """A hit answered from the in-memory tier renders the same body as
+        the other paths: the canonical JSON of a direct execute, and that
+        body's digest."""
+        handle = service_factory(cache=ResultCache(tmp_path / "cache"))
+        request = SimulationRequest("SYRK", "gto", SMALL)
+        direct = execute(request).to_dict()
+        answers = [handle.simulate(request) for _ in range(3)]
+        assert [h["x-repro-source"] for _, h, _ in answers] == [
+            "executed", "cache", "cache",
+        ]
+        for status, headers, body in answers:
+            assert status == 200
+            assert body == canonical_json(direct)
+            assert headers["x-repro-digest"] == result_digest(direct)
+        assert request.cache_key() in handle.service.hot
+        assert handle.stats()["hits"] == 2
 
     def test_acceptance_n_identical_plus_m_distinct(
         self, service_factory, tmp_path, hanging_chaos
@@ -444,6 +467,180 @@ class TestResilienceEndToEnd:
             assert stats["reconciles"] is True
         finally:
             configure_chaos(None)
+
+
+# ---------------------------------------------------------------------------
+# The in-memory tier of verified results
+# ---------------------------------------------------------------------------
+def serve_in_turn(service: ReproService, requests, probe=lambda: None):
+    """Submit ``requests`` one after another, then drain the service.
+
+    Returns ``[(result, source, probe())]``: ``probe`` runs right after
+    each request is answered.
+    """
+
+    async def scenario():
+        await service.start()
+        answers = []
+        for request in requests:
+            result, source, _ = await asyncio.wait_for(
+                service.submit(request), timeout=60
+            )
+            answers.append((result, source, probe()))
+        service.begin_shutdown()
+        await service.wait_closed()
+        return answers
+
+    return asyncio.run(scenario())
+
+
+class TestHotTier:
+    @pytest.fixture
+    def cache(self, tmp_path):
+        return ResultCache(tmp_path / "cache", quarantine=tmp_path / "quarantine")
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        """Paths of every cache entry file opened, in order."""
+        opened = []
+        real = ResultCache._load
+
+        def counting(path):
+            opened.append(path)
+            return real(path)
+
+        monkeypatch.setattr(ResultCache, "_load", staticmethod(counting))
+        return opened
+
+    def test_repeated_hit_opens_no_file(self, cache, loads):
+        request = SimulationRequest("ATAX", "gto", SMALL)
+        direct = execute(request).to_dict()
+        answers = serve_in_turn(
+            ReproService(port=0, workers=1, cache=cache), [request] * 3,
+            probe=lambda: len(loads),
+        )
+        # The miss tries the entry three times (the service's peek, the
+        # batch's lookup, the read-back audit); hits read nothing.
+        assert [(source, n) for _, source, n in answers] == [
+            ("executed", 3), ("cache", 3), ("cache", 3),
+        ]
+        first = answers[0][0]
+        assert all(result is first for result, _, _ in answers)
+        assert first.to_dict() == direct
+
+        # A fresh service over the warm cache reads the entry once, then
+        # answers from memory.
+        loads.clear()
+        answers = serve_in_turn(
+            ReproService(port=0, workers=1, cache=cache), [request] * 3,
+            probe=lambda: len(loads),
+        )
+        assert [(source, n) for _, source, n in answers] == [
+            ("cache", 1), ("cache", 1), ("cache", 1),
+        ]
+        assert all(result.to_dict() == direct for result, _, _ in answers)
+
+    def test_tampered_entry_is_neither_served_nor_remembered(self, cache):
+        request = SimulationRequest("ATAX", "gto", SMALL)
+        key = request.cache_key()
+        direct = execute(request).to_dict()
+        cache.put(key, direct)
+        path = cache._path(key)
+        envelope = pickle.loads(path.read_bytes())
+        envelope["result"]["data"]["fields"]["kernel_name"] = "TAMPERED"
+        path.write_bytes(pickle.dumps(envelope))
+
+        service = ReproService(port=0, workers=1, cache=cache)
+        answers = serve_in_turn(
+            service, [request] * 2,
+            probe=lambda: service.hot[key][0].kernel_name,
+        )
+        # The digest check turns the tampered entry into a miss: the
+        # request simulates, and only the executed result is remembered.
+        assert [(source, name) for _, source, name in answers] == [
+            ("executed", "ATAX"), ("cache", "ATAX"),
+        ]
+        assert all(result.to_dict() == direct for result, _, _ in answers)
+
+    def test_entry_quarantined_after_a_hit_is_not_served_from_memory(
+        self, cache
+    ):
+        """A remembered result is served only while its disk entry is the
+        one it was verified against: once the entry is quarantined (as a
+        distributed audit does to a lying worker's entries in a shared
+        cache), the next request simulates again."""
+        request = SimulationRequest("ATAX", "gto", SMALL)
+        key = request.cache_key()
+        direct = execute(request).to_dict()
+        cache.put(key, direct)
+        quarantined = []
+
+        def quarantine_once():
+            if not quarantined:
+                quarantined.append(
+                    cache.quarantine_entry(key, "distributed audit failed")
+                )
+
+        answers = serve_in_turn(
+            ReproService(port=0, workers=1, cache=cache), [request] * 3,
+            probe=quarantine_once,
+        )
+        assert [source for _, source, _ in answers] == [
+            "cache", "executed", "cache",
+        ]
+        # The re-executed result passed its audit and is remembered anew.
+        assert answers[2][0] is answers[1][0]
+        assert all(result.to_dict() == direct for result, _, _ in answers)
+        assert quarantined[0] is not None and cache.stats.quarantined == 1
+
+    def test_miss_failing_its_audit_is_not_remembered(self, cache, monkeypatch):
+        """An entry that reads back unlike the executed result is
+        quarantined, and the result does not enter the tier."""
+        real_put = cache.put
+
+        def diverging_put(key, result):
+            result = copy.deepcopy(result)
+            result["data"]["fields"]["kernel_name"] = "TORN"
+            real_put(key, result)
+
+        monkeypatch.setattr(cache, "put", diverging_put)
+        request = SimulationRequest("ATAX", "gto", SMALL)
+        key = request.cache_key()
+        service = ReproService(port=0, workers=1, cache=cache)
+        answers = serve_in_turn(
+            service, [request] * 2, probe=lambda: key in service.hot
+        )
+        assert [(source, held) for _, source, held in answers] == [
+            ("executed", False), ("executed", False),
+        ]
+        direct = execute(request).to_dict()
+        assert all(result.to_dict() == direct for result, _, _ in answers)
+        assert service.stats.audit_failures == 2
+        assert cache.stats.quarantined == 2
+
+    def test_tier_evicts_its_least_recently_used_result(
+        self, cache, monkeypatch
+    ):
+        monkeypatch.setattr("repro.serve.server.HOT_RESULTS", 2)
+        a, b, c = (
+            SimulationRequest(name, "gto", SMALL) for name in ("ATAX", "BICG", "MVT")
+        )
+        service = ReproService(port=0, workers=1, cache=cache)
+        answers = serve_in_turn(
+            service, [a, b, a, c], probe=lambda: list(service.hot)
+        )
+        assert [source for _, source, _ in answers] == [
+            "executed", "executed", "cache", "executed",
+        ]
+        # The hit on ``a`` made ``b`` the least recently used result.
+        assert answers[-1][2] == [a.cache_key(), c.cache_key()]
+
+    def test_service_without_a_cache_keeps_no_tier(self):
+        service = ReproService(port=0, workers=1)
+        assert service.hot is None
+        request = SimulationRequest("ATAX", "gto", SMALL)
+        answers = serve_in_turn(service, [request] * 2)
+        assert [source for _, source, _ in answers] == ["executed", "executed"]
 
 
 # ---------------------------------------------------------------------------
